@@ -145,9 +145,6 @@ module Text = struct
   let name = "mtext"
 
   let states ~depth =
-    (* Built through [of_string], so the enumerator exercises whichever
-       representation the SM_ROPE switch selects — the rope/flat battery
-       flips the switch and reruns the same state space. *)
     let all = [ ""; "a"; "ab"; "abcd"; "abcdef" ] in
     List.filteri (fun i _ -> i < max 1 depth + 2) (List.map Sm_ot.Op_text.of_string all)
 

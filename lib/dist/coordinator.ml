@@ -75,7 +75,9 @@ let relay_loop (chaos : Chaos.t) ~inner ~out =
     List.iter release (List.sort compare uids)
   in
   let forward bytes =
-    let uid = try Wire.uid_of_up (C.decode Wire.up_codec (Wire.open_control bytes)) with _ -> -1 in
+    let uid =
+      try Wire.uid_of_up (C.decode Wire.up_codec (snd (Wire.open_control bytes))) with _ -> -1
+    in
     match Hashtbl.find_opt held uid with
     | Some (q, _) -> Queue.push bytes q
     | None ->
@@ -168,9 +170,7 @@ type ctx =
   { cluster : cluster
   ; ws : Ws.t
   ; mutable children : rtask list (* creation order, retired included *)
-  ; buffered : (Wire.journal_format * Wire.up) Queue.t
-    (* events read from upstream in arrival order, each tagged with the
-       journal format its frame version implied *)
+  ; buffered : Wire.up Queue.t (* events read from upstream in arrival order *)
   }
 
 let workspace ctx = ctx.ws
@@ -196,8 +196,7 @@ let spawn ctx ?node task ~argument =
   (* The spawn's trace context crosses the wire with the Spawn frame, so
      the node's Task_start lands on the same request tree as this Spawn
      event — [sm-trace requests] stitches them by these ids.  Minted only
-     when tracing; either way the frame carries the current version, which
-     tells the node this coordinator speaks packed journals. *)
+     when tracing. *)
   let tctx =
     if Obs.on Obs.Info then Some (Obs.Trace_ctx.root (Wire.obs_task_name ~rank:node ~uid))
     else None
@@ -217,14 +216,8 @@ let spawn ctx ?node task ~argument =
     (Wire.Spawn { uid; task; argument; snapshot = Registry.encode_snapshot cluster.registry ctx.ws });
   child
 
-(* Decode an upstream frame, remembering which journal format its version
-   implied — a version-1/2 node ships classic journals and its messages
-   must be merged with the classic codec. *)
 let decode_up bytes =
-  match
-    let fmt, payload = Wire.open_control_v bytes in
-    (fmt, C.decode Wire.up_codec payload)
-  with
+  match C.decode Wire.up_codec (snd (Wire.open_control bytes)) with
   | up -> up
   | exception C.Decode_error msg -> raise (Remote_failure ("corrupt upstream message: " ^ msg))
   | exception Wire.Frame.Bad_frame msg -> raise (Remote_failure ("rejected frame: " ^ msg))
@@ -238,7 +231,7 @@ let decode_up bytes =
 let next_event_for ctx uid =
   let rec from_buffer pending =
     match Queue.take_opt ctx.buffered with
-    | Some (_, ev) as item when Wire.uid_of_up ev = uid ->
+    | Some ev as item when Wire.uid_of_up ev = uid ->
       Queue.transfer ctx.buffered pending;
       Queue.transfer pending ctx.buffered;
       item
@@ -256,12 +249,12 @@ let next_event_for ctx uid =
       match Sm_util.Bqueue.pop ctx.cluster.upstream with
       | None -> raise (Remote_failure "cluster shut down while merging")
       | Some bytes ->
-        let (_, ev) as item = decode_up bytes in
-        if Wire.uid_of_up ev = uid then item
+        let ev = decode_up bytes in
+        if Wire.uid_of_up ev = uid then ev
         else begin
           (* Out-of-order upstream event: journal the buffering so merge
              skew between ranks is visible (depth spikes = one slow rank). *)
-          Queue.add item ctx.buffered;
+          Queue.add ev ctx.buffered;
           Obs.Metrics.incr m_buffered;
           Obs.Metrics.observe h_buffer_depth (float_of_int (Queue.length ctx.buffered));
           Obs.note ~task:coord_task ~task_id:coord_tid "coord.buffer"
@@ -274,7 +267,7 @@ let next_event_for ctx uid =
 
 let next_event_any ctx =
   match Queue.take_opt ctx.buffered with
-  | Some item -> item
+  | Some ev -> ev
   | None -> (
     match Sm_util.Bqueue.pop ctx.cluster.upstream with
     | None -> raise (Remote_failure "cluster shut down while merging")
@@ -296,16 +289,16 @@ let default_validate _ = true
    acceptance adopts it.  The coordinator never materializes the child's
    workspace, so this is the remote analogue of validating the child's
    data. *)
-let try_merge ctx child ~format journal ~validate =
+let try_merge ctx child journal ~validate =
   let cluster = ctx.cluster in
   match
     if validate == default_validate then begin
-      Registry.merge_journal ~format cluster.registry ~into:ctx.ws ~base:child.base journal;
+      Registry.merge_journal cluster.registry ~into:ctx.ws ~base:child.base journal;
       true
     end
     else begin
       let trial = Ws.clone_full ctx.ws in
-      Registry.merge_journal ~format cluster.registry ~into:trial ~base:child.base journal;
+      Registry.merge_journal cluster.registry ~into:trial ~base:child.base journal;
       if validate trial then begin
         Ws.adopt ctx.ws ~from:trial;
         true
@@ -328,11 +321,11 @@ let obs_merge_child child ~journal ~outcome =
            ]
          E.Merge_child)
 
-let process ?(validate = default_validate) ctx child (format, ev) =
+let process ?(validate = default_validate) ctx child ev =
   let cluster = ctx.cluster in
   match ev with
   | Wire.Sync_request { journal; _ } ->
-    let granted = if child.aborted then false else try_merge ctx child ~format journal ~validate in
+    let granted = if child.aborted then false else try_merge ctx child journal ~validate in
     Obs.Metrics.incr m_remote_syncs;
     if not granted then Obs.Metrics.incr m_remote_refusals;
     obs_merge_child child ~journal ~outcome:(if granted then "merged" else "refused");
@@ -340,7 +333,7 @@ let process ?(validate = default_validate) ctx child (format, ev) =
     send_down cluster child.node
       (Wire.Reply { uid = child.uid; granted; snapshot = Registry.encode_snapshot cluster.registry ctx.ws })
   | Wire.Task_completed { journal; _ } ->
-    let merged = if child.aborted then false else try_merge ctx child ~format journal ~validate in
+    let merged = if child.aborted then false else try_merge ctx child journal ~validate in
     if not merged then Obs.Metrics.incr m_remote_refusals;
     obs_merge_child child ~journal ~outcome:(if merged then "merged" else "refused");
     child.cstate <- Retired_ok
@@ -356,9 +349,9 @@ let merge_all ?validate ctx =
 let merge_any ?validate ctx =
   if live ctx = [] then None
   else begin
-    let (_, ev) as item = next_event_any ctx in
+    let ev = next_event_any ctx in
     let child = find_child ctx (Wire.uid_of_up ev) in
-    process ?validate ctx child item;
+    process ?validate ctx child ev;
     Some child
   end
 

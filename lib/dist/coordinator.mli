@@ -57,8 +57,14 @@ type rtask
 (** A handle to a remote child task. *)
 
 exception Remote_failure of string
-(** Raised by merges when decoding a corrupt journal (protocol bug), never
-    for ordinary task failures — those are reported via {!failure}. *)
+(** Raised by merges when decoding a corrupt journal or frame (protocol
+    bug, or a peer from another build), never for ordinary task failures —
+    those are reported via {!failure}. *)
+
+val decode_up : string -> Wire.up
+(** Open and decode one upstream frame, as merges do.
+    @raise Remote_failure on a malformed frame, an unsupported frame version
+    or an undecodable message. *)
 
 val run : cluster -> (ctx -> 'a) -> 'a
 (** Run a coordinator program.  Remaining remote tasks are merged to

@@ -73,7 +73,7 @@ let node_loop ~rank ~registry ~upstream ~down () =
     match Sm_util.Bqueue.pop down with
     | None -> List.iter Thread.join threads (* channel closed: abandon ship *)
     | Some bytes -> (
-      let tctx, payload = Wire.open_control_rich bytes in
+      let tctx, payload = Wire.open_control bytes in
       match C.decode Wire.down_codec payload with
       | Wire.Spawn { uid; task; argument; snapshot } ->
         let mailbox = Sm_util.Bqueue.create () in

@@ -14,8 +14,6 @@ let oracle_names =
   ; "differential"
   ; "determinism"
   ; "compaction"
-  ; "cow"
-  ; "rope"
   ; "detsan"
   ; "trace"
   ; "replay"
@@ -99,49 +97,6 @@ let compaction_oracle keys prog baseline =
     fail "compaction" "compaction-off digest %s <> on %s" (short d) (short baseline)
   else Ok ()
 
-(* Differential over the workspace representation: the copy-on-write sharing
-   (default) and the paper's literal deep-copy-per-spawn baseline must be
-   observationally identical — same final states, hence byte-identical
-   digests.  Mirrors [compaction_oracle]'s flag save/flip/restore. *)
-let cow_oracle keys prog baseline =
-  let was = Ws.cow_enabled () in
-  let d =
-    Fun.protect
-      ~finally:(fun () -> Ws.set_cow was)
-      (fun () ->
-        Ws.set_cow (not was);
-        coop_digest keys prog)
-  in
-  if d <> baseline then
-    fail "cow" "cow-%s digest %s <> cow-%s %s"
-      (if was then "off" else "on")
-      (short d)
-      (if was then "on" else "off")
-      (short baseline)
-  else Ok ()
-
-(* Differential over the text representation: the chunked rope (default)
-   and the flat-string baseline must be observationally identical — digests
-   render states through the same escaped form, so a mismatch is a rope
-   apply/transform/print divergence.  Same flag flip-and-restore shape as
-   [cow_oracle]. *)
-let rope_oracle keys prog baseline =
-  let was = Sm_ot.Op_text.rope_enabled () in
-  let d =
-    Fun.protect
-      ~finally:(fun () -> Sm_ot.Op_text.set_rope was)
-      (fun () ->
-        Sm_ot.Op_text.set_rope (not was);
-        coop_digest keys prog)
-  in
-  if d <> baseline then
-    fail "rope" "rope-%s digest %s <> rope-%s %s"
-      (if was then "off" else "on")
-      (short d)
-      (if was then "on" else "off")
-      (short baseline)
-  else Ok ()
-
 let detsan_oracle env keys prog =
   if Program.uses_any_merge prog then Ok ()
   else begin
@@ -201,8 +156,6 @@ let check ?focus ?(runs = 3) ?mutate env prog =
     ; ("differential", fun () -> differential_oracle prog base mutate)
     ; ("determinism", fun () -> determinism_oracle env keys prog base ~runs)
     ; ("compaction", fun () -> compaction_oracle keys prog base)
-    ; ("cow", fun () -> cow_oracle keys prog base)
-    ; ("rope", fun () -> rope_oracle keys prog base)
     ; ("detsan", fun () -> detsan_oracle env keys prog)
     ; ("trace", fun () -> trace_oracle keys prog)
     ; ("replay", fun () -> replay_oracle env keys prog)

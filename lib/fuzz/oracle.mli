@@ -17,16 +17,6 @@
       ({!Sm_core.Detcheck} with shared executors).
     - ["compaction"]: the digest is invariant under
       {!Sm_mergeable.Workspace.set_compaction} off.
-    - ["cow"]: the digest is invariant under flipping
-      {!Sm_mergeable.Workspace.set_cow} — copy-on-write sharing and the
-      paper's literal deep-copy-per-spawn baseline are observationally
-      identical.  (Run with [SM_COW=0] this checks the other direction:
-      baseline process, COW run inside the oracle.)
-    - ["rope"]: the digest is invariant under flipping
-      {!Sm_ot.Op_text.set_rope} — the chunked-rope text backend and the
-      flat-string baseline are observationally identical.  (Run with
-      [SM_ROPE=0] this checks the other direction: flat process, rope run
-      inside the oracle.)
     - ["detsan"]: deterministic programs run {!Sm_check.Detsan}-clean — the
       interpreter's merge epilogue and module-level keys make any hazard a
       real bug.
@@ -70,6 +60,6 @@ val check :
   (unit, failure) result
 (** Run the applicable oracles in {!oracle_names} order and stop at the
     first failure.  [focus] restricts to the oracle of that name — what the
-    shrinker uses so each candidate costs one oracle, not all nine.  [runs]
+    shrinker uses so each candidate costs one oracle, not all seven.  [runs]
     (default 3) is the repetition count for the determinism oracle.
     [mutate] enables the differential oracle over that mutated keyset. *)

@@ -1,8 +1,7 @@
 (** Mergeable text buffers (collaborative-editing strings).
 
-    The document state is {!Sm_ot.Op_text.state} — flat string or chunked
-    rope depending on the [SM_ROPE] switch; this module's string-facing API
-    is representation-blind. *)
+    The document state is {!Sm_ot.Op_text.state}, a chunked rope; this
+    module's API is string-facing. *)
 
 module Data : Data.S with type state = Sm_ot.Op_text.state and type op = Sm_ot.Op_text.op
 

@@ -25,10 +25,8 @@ end
    counts cells whose state pointer diverged from a base snapshot shared at
    spawn/clone/rebase (the "copy on first write" event — with persistent
    states the "copy" is the O(1) pointer swap the apply performs, never a
-   byte copy); [ws.copy_bytes] counts the bytes the deep-copy baseline
-   ({!set_cow} off) materializes at share points, and stays 0 under COW. *)
+   byte copy). *)
 let cow_hits = Sm_obs.Metrics.counter "ws.cow_hits"
-let copy_bytes = Sm_obs.Metrics.counter "ws.copy_bytes"
 
 (* A cell holds one mergeable value as an immutable snapshot plus the journal
    of operations applied since the cell was created or last rebased.
@@ -107,22 +105,6 @@ end
 let compaction = Atomic.make true
 let set_compaction on = Atomic.set compaction on
 let compaction_enabled () = Atomic.get compaction
-
-(* Copy-on-write sharing at spawn/clone/rebase.  Default on: children alias
-   the parent's (persistent) state snapshots, so sharing a workspace is
-   O(cells) regardless of state size.  Off is the paper's literal model —
-   every share point materializes a structural deep copy per cell
-   ([Data.S.copy_state], metered in [ws.copy_bytes]) — kept as a switchable
-   baseline so the representations stay differentially comparable: states,
-   journals and digests must be identical either way.  [SM_COW=0] in the
-   environment selects the baseline for a whole process (the legacy-mode CI
-   job). *)
-let cow =
-  Atomic.make
-    (match Sys.getenv_opt "SM_COW" with Some ("0" | "off" | "false") -> false | _ -> true)
-
-let set_cow on = Atomic.set cow on
-let cow_enabled () = Atomic.get cow
 
 let create () = { uid = Atomic.fetch_and_add next_ws_uid 1; cells = Imap.empty }
 
@@ -231,21 +213,15 @@ let snapshot t = Imap.map (fun (P (_, c)) -> cell_version c) t.cells
 let op_count t =
   Imap.fold (fun _ (P (_, c)) acc -> acc + Sm_util.Vec.length c.journal) t.cells 0
 
-(* The state a share point hands out: materialized, and either aliased
-   (COW, the default — mark both sides shared so the first write on either
-   is visible as a cow hit) or deep-copied per the paper's baseline, with
-   the copied bytes metered. *)
-let share_state (type s o) (k : (s, o) key) (c : (s, o) cell) : s =
-  let module D = (val k.data) in
+(* Copy-on-write sharing at spawn/clone/rebase: children alias the parent's
+   (persistent) state snapshots, so sharing a workspace is O(cells)
+   regardless of state size.  The state a share point hands out is
+   materialized and aliased, with both sides marked shared so the first
+   write on either is visible as a cow hit. *)
+let share_state k c =
   force k c;
-  if Atomic.get cow then begin
-    c.shared <- true;
-    c.state
-  end
-  else begin
-    Sm_obs.Metrics.add copy_bytes (D.state_size c.state);
-    D.copy_state c.state
-  end
+  c.shared <- true;
+  c.state
 
 let fresh_copy (P (k, c)) =
   P
@@ -254,7 +230,7 @@ let fresh_copy (P (k, c)) =
       ; applied = 0
       ; journal = Sm_util.Vec.create ()
       ; offset = 0
-      ; shared = Atomic.get cow
+      ; shared = true
       } )
 
 let copy t = { uid = Atomic.fetch_and_add next_ws_uid 1; cells = Imap.map fresh_copy t.cells }
@@ -265,26 +241,15 @@ let clone_full t =
       Imap.map
         (fun (P (k, c)) ->
           (* The journal suffix travels with the clone, so the unapplied tail
-             needs no materialization: only the [applied] snapshot is shared
-             (or deep-copied under the baseline). *)
-          let state =
-            if Atomic.get cow then begin
-              c.shared <- true;
-              c.state
-            end
-            else begin
-              let module D = (val k.data) in
-              Sm_obs.Metrics.add copy_bytes (D.state_size c.state);
-              D.copy_state c.state
-            end
-          in
+             needs no materialization: only the [applied] snapshot is shared. *)
+          c.shared <- true;
           P
             ( k
-            , { state
+            , { state = c.state
               ; applied = c.applied
               ; journal = Sm_util.Vec.copy c.journal
               ; offset = c.offset
-              ; shared = Atomic.get cow
+              ; shared = true
               } ))
         t.cells
   }
@@ -301,7 +266,7 @@ let clone_trimmed t =
               ; applied = version
               ; journal = Sm_util.Vec.create ()
               ; offset = version
-              ; shared = Atomic.get cow
+              ; shared = true
               } ))
         t.cells
   }
@@ -348,25 +313,15 @@ let merge_child ~parent ~child ~base =
       | None ->
         (* Key initialized inside the child: install a detached cell (the
            child may keep mutating its own cell until it terminates; the
-           journal is copied, and the snapshot shared or deep-copied per the
-           active representation — persistent applies keep the alias safe). *)
-        let state =
-          if Atomic.get cow then begin
-            child_cell.shared <- true;
-            child_cell.state
-          end
-          else begin
-            let module D = (val k.data) in
-            Sm_obs.Metrics.add copy_bytes (D.state_size child_cell.state);
-            D.copy_state child_cell.state
-          end
-        in
+           journal is copied and the snapshot shared — persistent applies
+           keep the alias safe). *)
+        child_cell.shared <- true;
         let detached =
-          { state
+          { state = child_cell.state
           ; applied = child_cell.applied
           ; journal = Sm_util.Vec.copy child_cell.journal
           ; offset = child_cell.offset
-          ; shared = Atomic.get cow
+          ; shared = true
           }
         in
         parent.cells <- Imap.add id (P (k, detached)) parent.cells)

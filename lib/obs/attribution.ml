@@ -6,7 +6,6 @@ type row =
   ; spawns : int
   ; clones : int
   ; spawn_cells : int
-  ; spawn_copy_bytes : int
   ; merge_batches : int
   ; children_merged : int
   ; ops_folded : int
@@ -35,7 +34,6 @@ let row_of_task (t : M.task) =
   ; spawns = List.length t.M.children - t.M.clones_spawned
   ; clones = t.M.clones_spawned
   ; spawn_cells = t.M.spawn_cells
-  ; spawn_copy_bytes = t.M.spawn_copy_bytes
   ; merge_batches = List.length t.M.merges
   ; children_merged = List.length records
   ; ops_folded = List.fold_left (fun a r -> a + r.M.mc_ops) 0 records
@@ -118,7 +116,6 @@ let totals rows =
         spawns = acc.spawns + r.spawns
       ; clones = acc.clones + r.clones
       ; spawn_cells = acc.spawn_cells + r.spawn_cells
-      ; spawn_copy_bytes = acc.spawn_copy_bytes + r.spawn_copy_bytes
       ; merge_batches = acc.merge_batches + r.merge_batches
       ; children_merged = acc.children_merged + r.children_merged
       ; ops_folded = acc.ops_folded + r.ops_folded
@@ -143,7 +140,6 @@ let totals rows =
     ; spawns = 0
     ; clones = 0
     ; spawn_cells = 0
-    ; spawn_copy_bytes = 0
     ; merge_batches = 0
     ; children_merged = 0
     ; ops_folded = 0
@@ -195,7 +191,6 @@ let to_json rows =
       ; ("spawns", Json.Int r.spawns)
       ; ("clones", Json.Int r.clones)
       ; ("spawn_cells", Json.Int r.spawn_cells)
-      ; ("spawn_copy_bytes", Json.Int r.spawn_copy_bytes)
       ; ("merge_batches", Json.Int r.merge_batches)
       ; ("children_merged", Json.Int r.children_merged)
       ; ("ops_folded", Json.Int r.ops_folded)
@@ -243,9 +238,7 @@ let pp ppf rows =
       (float_of_int t.compact_out /. float_of_int t.compact_in)
       t.compact_in t.compact_out;
   if t.spawn_cells > 0 then
-    Format.fprintf ppf "  %-32s %d cells shared, %d bytes deep-copied%s@." "spawn cost"
-      t.spawn_cells t.spawn_copy_bytes
-      (if t.spawn_copy_bytes = 0 then " (copy-on-write)" else "");
+    Format.fprintf ppf "  %-32s %d cells shared@." "spawn cost" t.spawn_cells;
   if t.epochs > 0 then
     Format.fprintf ppf "  %-32s %d epochs, %d edits folded@." "shard epochs" t.epochs
       t.epoch_edits;

@@ -17,10 +17,6 @@ type row =
   ; spawn_cells : int
       (** workspace cells shared across this task's spawns/clones (Debug
           traces only — the spawn-cost args ride at Debug) *)
-  ; spawn_copy_bytes : int
-      (** bytes those spawns deep-copied: 0 under copy-on-write, the
-          per-spawn [Data.S.copy_state] total under the [set_cow]-off
-          baseline *)
   ; merge_batches : int  (** merge-family calls *)
   ; children_merged : int  (** [Merge_child] folds performed *)
   ; ops_folded : int

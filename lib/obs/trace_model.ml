@@ -54,7 +54,6 @@ type task =
   ; mutable syncs : sync_span list
   ; mutable clones_spawned : int
   ; mutable spawn_cells : int
-  ; mutable spawn_copy_bytes : int
   ; mutable aborts_sent : int
   ; mutable validation_fails : int
   ; mutable notes : int
@@ -140,7 +139,6 @@ let find_or_create b ~name ~id ts =
       ; syncs = []
       ; clones_spawned = 0
       ; spawn_cells = 0
-      ; spawn_copy_bytes = 0
       ; aborts_sent = 0
       ; validation_fails = 0
       ; notes = 0
@@ -188,7 +186,6 @@ let add_event b (e : Event.t) =
     if e.kind = Event.Clone then t.clones_spawned <- t.clones_spawned + 1;
     (* spawn-cost args ride only on Debug-level traces; absent means 0 *)
     t.spawn_cells <- t.spawn_cells + Option.value ~default:0 (int_arg "ws_cells" e);
-    t.spawn_copy_bytes <- t.spawn_copy_bytes + Option.value ~default:0 (int_arg "copy_bytes" e);
     match (str_arg "child" e, int_arg "child_id" e) with
     | Some cname, Some cid ->
       let child = find_or_create b ~name:cname ~id:cid e.ts_ns in

@@ -72,9 +72,6 @@ type task =
   ; mutable spawn_cells : int
       (** workspace cells shared across this task's spawns/clones (from the
           Debug-level [ws_cells] spawn-cost arg; 0 on Info-level traces) *)
-  ; mutable spawn_copy_bytes : int
-      (** bytes those spawns deep-copied — 0 under copy-on-write; the
-          [Workspace.set_cow]-off baseline meters its per-spawn copies here *)
   ; mutable aborts_sent : int
   ; mutable validation_fails : int  (** as the merging parent *)
   ; mutable notes : int

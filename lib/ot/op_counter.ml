@@ -14,9 +14,6 @@ let compact = function
 (* Adds commute with everything: transform is the identity both ways. *)
 let commutes _ _ = true
 
-(* An int is unboxed: there is nothing to deep-copy. *)
-let copy_state s = s
-let state_size _ = Op_sig.word_bytes
 let equal_state = Int.equal
 let pp_state = Format.pp_print_int
 let pp_op ppf (Add n) = Format.fprintf ppf "add(%d)" n

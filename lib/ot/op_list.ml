@@ -79,10 +79,6 @@ module Make (Elt : Op_sig.ELT) = struct
   (* Positional ops shift each other's indices; no sound skip. *)
   let commutes _ _ = false
 
-  (* Rebuild the spine (3 words per cons cell); elements stay shared. *)
-  let copy_state s = List.map Fun.id s
-  let state_size s = Op_sig.word_bytes + (3 * Op_sig.word_bytes * List.length s)
-
   let equal_state = List.equal Elt.equal
 
   let pp_state ppf s =

@@ -50,11 +50,6 @@ module Make (Key : Op_sig.ORDERED_ELT) (Value : Op_sig.ELT) = struct
     | Put (_, va), Put (_, vb) -> Value.equal va vb
     | Put _, Remove _ | Remove _, Put _ -> false
 
-  (* Rebuild the balanced tree node by node (6 words each: header +
-     l/v/d/r/h); keys and values stay shared. *)
-  let copy_state s = Key_map.fold Key_map.add s Key_map.empty
-  let state_size s = Op_sig.word_bytes + (6 * Op_sig.word_bytes * Key_map.cardinal s)
-
   let equal_state = Key_map.equal Value.equal
 
   let pp_state ppf s =

@@ -15,10 +15,6 @@ module Make (V : Op_sig.ELT) = struct
   let compact ops = match List.rev ops with [] | [ _ ] -> ops | last :: _ -> [ last ]
   let commutes (Assign va) (Assign vb) = V.equal va vb
 
-  (* The state IS the element payload, which deep copies never duplicate. *)
-  let copy_state s = s
-  let state_size _ = Op_sig.word_bytes
-
   let equal_state = V.equal
   let pp_state = V.pp
   let pp_op ppf (Assign v) = Format.fprintf ppf "assign(%a)" V.pp v

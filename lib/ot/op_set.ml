@@ -45,11 +45,6 @@ module Make (Elt : Op_sig.ORDERED_ELT) = struct
        | Add _, Add _ | Remove _, Remove _ -> true
        | Add _, Remove _ | Remove _, Add _ -> false)
 
-  (* Rebuild the balanced tree node by node (5 words each: header + l/v/r/h);
-     elements stay shared. *)
-  let copy_state s = Elt_set.fold Elt_set.add s Elt_set.empty
-  let state_size s = Op_sig.word_bytes + (5 * Op_sig.word_bytes * Elt_set.cardinal s)
-
   let equal_state = Elt_set.equal
 
   let pp_state ppf s =

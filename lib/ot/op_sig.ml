@@ -59,32 +59,11 @@ module type S = sig
       [false] is always sound ({!Default}); lib/check verifies the promise
       against the real transform. *)
 
-  val copy_state : state -> state
-  (** A structurally fresh value equal to the input: [equal_state (copy_state
-      s) s] and identical [pp_state] rendering, but sharing no mutable-free
-      heap structure with [s] beyond the element payloads.  States are
-      persistent, so the runtime never {e needs} this — it exists to realize
-      the paper's literal deep-copy-at-spawn model as a switchable baseline
-      ({!Workspace.set_cow} off), making the copy-on-write representation's
-      cost advantage measurable and its digests differentially checkable.
-      Identity is sound only for unboxed scalars ({!Default}). *)
-
-  val state_size : state -> int
-  (** Approximate heap footprint of the state in bytes — what a deep copy of
-      it would materialize.  Used for the [ws.copy_bytes] accounting and the
-      spawn-cost bench; an estimate (container spines are counted, abstract
-      element payloads are charged one word), not a precise [Obj.reachable]
-      walk. *)
-
   val equal_state : state -> state -> bool
 
   val pp_state : Format.formatter -> state -> unit
   val pp_op : Format.formatter -> op -> unit
 end
-
-(** Bytes per OCaml word on a 64-bit runtime; the unit of the
-    {!S.state_size} estimates. *)
-let word_bytes = 8
 
 (** Sound do-nothing implementations of the optional-strength members of
     {!S}, for operation modules that predate journal compaction (or whose
@@ -94,10 +73,4 @@ let word_bytes = 8
 module Default = struct
   let compact ops = ops
   let commutes _ _ = false
-
-  (* Sound only when the state is an unboxed scalar (or the module is a test
-     fixture that never runs under the deep-copy baseline): identity keeps
-     every law trivially, it just makes the paper-mode copy free. *)
-  let copy_state s = s
-  let state_size _ = word_bytes
 end

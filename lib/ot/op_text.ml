@@ -1,36 +1,14 @@
-(* The document state carries its own representation: the classic flat
-   string (O(n) splices — the model the paper's examples use) or a chunked
-   rope (O(log n + |op|) edits, the production representation).  The two are
-   observationally identical — same lengths, same rendered bytes, same
-   digests — which the rope/flat differential battery and the [rope] fuzz
-   oracle enforce.  Representation is sticky through [apply]: a flat state
-   stays flat (byte-for-byte the historical splice code), a rope stays a
-   rope, so a whole run commits to one representation and flag flips only
-   matter at [of_string] time. *)
-type state =
-  | Flat of string
-  | Rope of Rope.t
+(* The document state is a chunked rope: O(log n + |op|) edits, O(1)
+   length, and flattening only at the edges (digests, codecs). *)
+type state = Rope.t
 
 type op =
   | Ins of int * string
   | Del of int * int
 
-(* Representation switch, mirroring Workspace's SM_COW pattern: rope is the
-   default, [SM_ROPE=0] (or "off"/"false") or [set_rope false] selects the
-   flat baseline that CI keeps honest. *)
-let rope_flag =
-  Atomic.make
-    (match Sys.getenv_opt "SM_ROPE" with Some ("0" | "off" | "false") -> false | _ -> true)
-
-let rope_enabled () = Atomic.get rope_flag
-let set_rope enabled = Atomic.set rope_flag enabled
-
-let of_string s = if rope_enabled () then Rope (Rope.of_string s) else Flat s
-let flat_of_string s = Flat s
-let rope_of_string s = Rope (Rope.of_string s)
-let to_string = function Flat s -> s | Rope r -> Rope.to_string r
-let length = function Flat s -> String.length s | Rope r -> Rope.length r
-let is_rope = function Flat _ -> false | Rope _ -> true
+let of_string = Rope.of_string
+let to_string = Rope.to_string
+let length = Rope.length
 
 let ins pos s = Ins (pos, s)
 
@@ -39,8 +17,7 @@ let del ~pos ~len =
   Del (pos, len)
 
 (* Error messages are rendered from the logical byte length only, so they
-   are byte-identical across representations — shrunken fuzz reports must
-   not leak which backend produced them. *)
+   do not depend on the rope's chunk layout. *)
 let check_ins pos n =
   if pos < 0 || pos > n then
     invalid_arg (Printf.sprintf "Op_text.apply: ins position %d out of range (len %d)" pos n)
@@ -50,34 +27,15 @@ let check_del pos len n =
   if pos < 0 || pos + len > n then
     invalid_arg (Printf.sprintf "Op_text.apply: del range [%d,%d) out of range (len %d)" pos (pos + len) n)
 
-let apply st op =
-  match st with
-  | Flat s -> (
-    let n = String.length s in
-    match op with
-    | Ins (pos, t) ->
-      check_ins pos n;
-      let tl = String.length t in
-      let b = Bytes.create (n + tl) in
-      Bytes.blit_string s 0 b 0 pos;
-      Bytes.blit_string t 0 b pos tl;
-      Bytes.blit_string s pos b (pos + tl) (n - pos);
-      Flat (Bytes.unsafe_to_string b)
-    | Del (pos, len) ->
-      check_del pos len n;
-      let b = Bytes.create (n - len) in
-      Bytes.blit_string s 0 b 0 pos;
-      Bytes.blit_string s (pos + len) b pos (n - pos - len);
-      Flat (Bytes.unsafe_to_string b))
-  | Rope r -> (
-    let n = Rope.length r in
-    match op with
-    | Ins (pos, t) ->
-      check_ins pos n;
-      Rope (Rope.insert r pos t)
-    | Del (pos, len) ->
-      check_del pos len n;
-      Rope (Rope.delete r ~pos ~len))
+let apply r op =
+  let n = Rope.length r in
+  match op with
+  | Ins (pos, t) ->
+    check_ins pos n;
+    Rope.insert r pos t
+  | Del (pos, len) ->
+    check_del pos len n;
+    Rope.delete r ~pos ~len
 
 let transform a ~against:b ~tie =
   match a, b with
@@ -134,27 +92,11 @@ let compact ops =
 
 let commutes _ _ = false
 
-(* The deep copy keeps its cost proportional to the representation: a fresh
-   string for a flat document, a structure-preserving chunk copy for a
-   rope.  Either way the result shares nothing with the source, which the
-   COW sharing assertions rely on. *)
-let copy_state = function
-  | Flat s -> Flat (Bytes.unsafe_to_string (Bytes.of_string s))
-  | Rope r -> Rope (Rope.copy r)
-
-let state_size = function
-  | Flat s -> Op_sig.word_bytes + String.length s
-  | Rope r -> Op_sig.word_bytes + Rope.size_bytes r
-
-let equal_state a b =
-  match a, b with
-  | Flat x, Flat y -> String.equal x y
-  | Rope x, Rope y -> Rope.equal x y
-  | Flat x, Rope y | Rope y, Flat x -> Rope.equal_string y x
+let equal_state = Rope.equal
 
 (* Renders exactly what [Format.fprintf ppf "%S"] would print for the
    flattened document — workspace digests hash this text, so the escaper
-   must match [String.escaped] byte for byte or the representation would
+   must match [String.escaped] byte for byte or the chunk layout would
    leak into digests. *)
 let pp_escaped ppf s =
   String.iter
@@ -170,12 +112,10 @@ let pp_escaped ppf s =
       | c -> Format.fprintf ppf "\\%03d" (Char.code c))
     s
 
-let pp_state ppf = function
-  | Flat s -> Format.fprintf ppf "%S" s
-  | Rope r ->
-    Format.pp_print_char ppf '"';
-    Rope.iter_chunks (pp_escaped ppf) r;
-    Format.pp_print_char ppf '"'
+let pp_state ppf r =
+  Format.pp_print_char ppf '"';
+  Rope.iter_chunks (pp_escaped ppf) r;
+  Format.pp_print_char ppf '"'
 
 let pp_op ppf = function
   | Ins (p, s) -> Format.fprintf ppf "ins(%d, %S)" p s

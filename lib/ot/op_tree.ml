@@ -158,13 +158,6 @@ module Make (Label : Op_sig.ELT) = struct
 
   let commutes _ _ = false
 
-  (* Rebuild every node record and sibling spine (3 + 3 words per node);
-     labels stay shared. *)
-  let rec copy_state forest =
-    List.map (fun n -> { label = n.label; children = copy_state n.children }) forest
-
-  let state_size forest = Op_sig.word_bytes + (6 * Op_sig.word_bytes * size forest)
-
   let rec equal_node a b = Label.equal a.label b.label && List.equal equal_node a.children b.children
   let equal_state = List.equal equal_node
 

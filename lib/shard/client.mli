@@ -37,7 +37,8 @@ val connect :
     [parent], when given, is the user action this session serves: every
     request context nests under it, so sessions on {e different} shards
     sharing one parent stitch into a single request tree.  When tracing is
-    off no contexts are minted and every frame stays wire version 1. *)
+    off no contexts are minted and every frame's context slot stays
+    empty. *)
 
 val obs_client_tid : int -> int
 (** The trace lane for editor [i] — parked above the distributed layer's

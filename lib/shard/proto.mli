@@ -65,31 +65,18 @@ type s2c =
       }
 
 val seal_c2s : ?ctx:Sm_obs.Trace_ctx.t -> c2s -> string
-(** Seals a current-version frame (optionally carrying the request's trace
-    context) — the version tells the shard this client ships packed
-    journals in its [Edit] batches. *)
+(** Seals a frame, optionally carrying the request's trace context. *)
 
-val open_c2s : string -> c2s
-(** @raise Sm_dist.Wire.Frame.Bad_frame / [Sm_util.Codec.Decode_error] *)
-
-val open_c2s_ctx : string -> Sm_obs.Trace_ctx.t option * c2s
-(** {!open_c2s}, surfacing the frame's trace context — how a shard joins
-    the client's request tree. *)
-
-val open_c2s_full : string -> Sm_obs.Trace_ctx.t option * Sm_dist.Wire.journal_format * c2s
-(** {!open_c2s_ctx}, also surfacing the journal format the client's frame
-    version implies — the shard must decode [Edit] ops with the sender's
-    codec, so version-1/2 clients keep working. *)
+val open_c2s : string -> Sm_obs.Trace_ctx.t option * c2s
+(** Surfaces the frame's trace context — how a shard joins the client's
+    request tree.
+    @raise Sm_dist.Wire.Frame.Bad_frame / [Sm_util.Codec.Decode_error] *)
 
 val seal_s2c : ?ctx:Sm_obs.Trace_ctx.t -> s2c -> string
 
-val open_s2c : string -> s2c
+val open_s2c : string -> Sm_obs.Trace_ctx.t option * s2c
 (** Additionally checks the frame kind agrees with the payload.
     @raise Sm_dist.Wire.Frame.Bad_frame on disagreement. *)
-
-val open_s2c_v : string -> Sm_dist.Wire.journal_format * s2c
-(** {!open_s2c}, surfacing the journal format of the shard's frame —
-    clients decode delta payloads with the sender's codec. *)
 
 val payload_bytes : payload -> int
 (** Document bytes carried (op/state payloads, excluding message and frame

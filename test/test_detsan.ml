@@ -190,45 +190,6 @@ let hazard_triggers_flight_dump () =
     | _ -> Alcotest.fail "snapshot must hold exactly the one recorded event")
   | None -> Alcotest.fail "a hazard must trigger a flight snapshot"
 
-(* --- representation parity: COW sharing vs the deep-copy baseline ----------- *)
-
-(* The workspace representation must be invisible to the sanitizer: the same
-   program yields the same hazard tags and digest whether spawns share
-   persistent states (COW, default) or deep-copy them (the SM_COW=0
-   baseline).  Lazy materialization emits no hooks, so it can neither add
-   nor drop Updated/Digested provenance. *)
-let cow_hazard_parity () =
-  let clean ctx =
-    Ws.init (Rt.workspace ctx) k 0;
-    let a = Rt.spawn ctx (fun c -> Mc.incr (Rt.workspace c) k) in
-    let b = Rt.spawn ctx (fun c -> Mc.add (Rt.workspace c) k 2) in
-    Rt.merge_all_from_set ctx [ a; b ]
-  in
-  let hazardous ctx =
-    Ws.init (Rt.workspace ctx) k 0;
-    let _a = Rt.spawn ctx (fun c -> Mc.incr (Rt.workspace c) k) in
-    let _b = Rt.spawn ctx (fun c -> Mc.incr (Rt.workspace c) k) in
-    ignore (Rt.merge_any ctx);
-    Rt.merge_all ctx
-  in
-  let under_cow on prog =
-    let saved = Ws.cow_enabled () in
-    Fun.protect
-      ~finally:(fun () -> Ws.set_cow saved)
-      (fun () ->
-        Ws.set_cow on;
-        Detsan.run prog)
-  in
-  let h_on, d_on = under_cow true clean in
-  let h_off, d_off = under_cow false clean in
-  check_bool "clean stays clean in both representations" (h_on = [] && h_off = []);
-  check_bool "clean digests agree across representations" (String.equal d_on d_off);
-  let hz_on, hd_on = under_cow true hazardous in
-  let hz_off, hd_off = under_cow false hazardous in
-  check_bool "identical hazard tags across representations" (tags hz_on = tags hz_off);
-  check_bool "nondet-merge seen in both" (List.mem "nondet-merge" (tags hz_on));
-  check_bool "hazardous digests agree across representations" (String.equal hd_on hd_off)
-
 let suite =
   [ Alcotest.test_case "clean program has no hazards" `Quick clean_is_clean
   ; Alcotest.test_case "merge_any is flagged" `Quick merge_any_flagged
@@ -236,7 +197,6 @@ let suite =
   ; Alcotest.test_case "unmerged children are flagged" `Quick unmerged_children_flagged
   ; Alcotest.test_case "op after digest is flagged" `Quick op_after_digest_flagged
   ; Alcotest.test_case "hazards deduplicate" `Quick hazards_dedup
-  ; Alcotest.test_case "hazards and digests agree across COW/deep-copy" `Quick cow_hazard_parity
   ; Alcotest.test_case "hazard triggers a flight snapshot" `Quick hazard_triggers_flight_dump
   ; Alcotest.test_case "sanitized program stays deterministic" `Quick
       sanitized_program_still_deterministic

@@ -253,78 +253,72 @@ let cluster_reuse () =
         Alcotest.(check int) (Printf.sprintf "round %d" round) round v
       done)
 
-(* --- wire-frame version negotiation ------------------------------------------ *)
+(* --- wire frames --------------------------------------------------------------- *)
 
 module Frame = Sm_dist.Wire.Frame
 
-let frame_v1_compat () =
-  (* New builds always stamp the current version — the frame version is the
-     journal-format negotiation, so a ctx-less seal is a version-3 frame
-     with a zero-length context slot. *)
+let frame_golden_layout () =
+  (* A ctx-less seal: magic, u16 version 3, kind, u32 length, a zero
+     context length, then the payload — pinned byte for byte. *)
   let sealed = Frame.seal Frame.Delta "payload" in
-  Alcotest.(check int) "v3 ctx-less header is 10 bytes" (10 + String.length "payload")
+  Alcotest.(check string) "ctx-less golden frame" "SM\x00\x03\x01\x00\x00\x00\x07\x00payload"
+    sealed;
+  Alcotest.(check int) "ctx-less header is 10 bytes" (10 + String.length "payload")
     (String.length sealed);
-  Alcotest.(check string) "magic" "SM" (String.sub sealed 0 2);
-  Alcotest.(check int) "default seal stamps the current version" Frame.version
-    (Char.code sealed.[3]);
-  let kind, payload = Frame.open_ sealed in
-  check_bool "kind survives" (kind = Frame.Delta);
-  Alcotest.(check string) "payload survives" "payload" payload;
-  let v, kind, ctx, payload = Frame.open_v sealed in
-  check_bool "open_v agrees" (v = Frame.version && kind = Frame.Delta && payload = "payload");
-  check_bool "ctx-less frames carry no context" (ctx = None);
-  check_bool "current version implies packed journals"
-    (Sm_dist.Wire.journal_format_of_version v = Sm_dist.Wire.Packed);
-  (* Version-1 frames — what pre-context builds emitted — must decode
-     forever, and classify as classic-journal speakers. *)
-  let sealed1 = Frame.seal ~version:1 Frame.Delta "payload" in
-  Alcotest.(check int) "v1 header is 9 bytes" (9 + String.length "payload")
-    (String.length sealed1);
-  Alcotest.(check int) "explicit v1 layout" 1 (Char.code sealed1.[3]);
-  let v1, kind1, ctx1, payload1 = Frame.open_v sealed1 in
-  check_bool "v1 decodes forever" (v1 = 1 && kind1 = Frame.Delta && payload1 = "payload");
-  check_bool "v1 frames carry no context" (ctx1 = None);
-  check_bool "v1 implies classic journals"
-    (Sm_dist.Wire.journal_format_of_version v1 = Sm_dist.Wire.Classic);
-  check_bool "v1 cannot carry a context"
-    (match Frame.seal ~version:1 ~ctx:(Sm_obs.Trace_ctx.root "r") Frame.Control "x" with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  (* Version-2 frames (trace context, classic journals) also decode forever. *)
+  (match Frame.open_ sealed with
+  | Frame.Delta, None, "payload" -> ()
+  | _ -> Alcotest.fail "ctx-less frame must open to its kind and payload");
+  (* A context rides between the header and the payload, length-prefixed. *)
   let c = Sm_obs.Trace_ctx.child (Sm_obs.Trace_ctx.root "req") "hop" in
-  let sealed2 = Frame.seal ~version:2 ~ctx:c Frame.Control "p2" in
-  Alcotest.(check int) "explicit v2 layout" 2 (Char.code sealed2.[3]);
-  let kind2, payload2 = Frame.open_ sealed2 in
-  check_bool "plain open drops the context" (kind2 = Frame.Control && payload2 = "p2");
-  (match Frame.open_v sealed2 with
-  | 2, _, Some c', p when p = "p2" -> check_bool "context round-trips" (Sm_obs.Trace_ctx.equal c c')
-  | _ -> Alcotest.fail "rich open must surface the v2 context");
-  check_bool "v2 implies classic journals"
-    (Sm_dist.Wire.journal_format_of_version 2 = Sm_dist.Wire.Classic);
-  (* A context on a default seal rides the same version-3 frame. *)
+  let cb = Sm_util.Codec.encode Sm_obs.Trace_ctx.codec c in
   let sealed3 = Frame.seal ~ctx:c Frame.Control "p3" in
-  Alcotest.(check int) "ctx seal is still current version" Frame.version
-    (Char.code sealed3.[3]);
-  match Frame.open_rich sealed3 with
-  | _, Some c', p when p = "p3" -> check_bool "v3 context round-trips" (Sm_obs.Trace_ctx.equal c c')
-  | _ -> Alcotest.fail "rich open must surface the v3 context"
+  Alcotest.(check string) "ctx golden frame"
+    ("SM\x00\x03\x00\x00\x00\x00\x02" ^ String.make 1 (Char.chr (String.length cb)) ^ cb ^ "p3")
+    sealed3;
+  match Frame.open_ sealed3 with
+  | _, Some c', p when p = "p3" -> check_bool "context round-trips" (Sm_obs.Trace_ctx.equal c c')
+  | _ -> Alcotest.fail "open must surface the context"
 
+(* Every version but the current one is a typed rejection — old builds'
+   1 and 2, a future 4, and garbage at either end — whichever decoder
+   meets the frame: a bare open, the shard protocol in both directions, or
+   the coordinator's upstream decode. *)
 let frame_unknown_version_rejected () =
-  let sealed = Bytes.of_string (Frame.seal Frame.Control "x") in
-  Bytes.set_uint16_be sealed 2 255;
-  (match Frame.open_ (Bytes.to_string sealed) with
-  | exception Frame.Unsupported_version { got; speaks } ->
-    Alcotest.(check int) "reports the alien version" 255 got;
-    Alcotest.(check int) "reports what this build speaks" Frame.version speaks
-  | _ -> Alcotest.fail "version 255 must be rejected");
-  (* Version 0 is below [min_version]: same typed rejection, not Bad_frame. *)
-  Bytes.set_uint16_be sealed 2 0;
-  (match Frame.open_rich (Bytes.to_string sealed) with
-  | exception Frame.Unsupported_version { got; _ } ->
-    Alcotest.(check int) "pre-v1 rejected too" 0 got
-  | _ -> Alcotest.fail "version 0 must be rejected");
+  let restamp v frame =
+    let b = Bytes.of_string frame in
+    Bytes.set_uint16_be b 2 v;
+    Bytes.to_string b
+  in
+  let rejects name v f =
+    match f () with
+    | exception Frame.Unsupported_version { got; speaks } ->
+      Alcotest.(check int) (name ^ ": reports the alien version") v got;
+      Alcotest.(check int) (name ^ ": reports what this build speaks") Frame.version speaks
+    | _ -> Alcotest.failf "%s: version %d must be rejected" name v
+  in
+  let module Proto = Sm_shard.Proto in
+  let control = Frame.seal Frame.Control "x" in
+  let c2s = Proto.seal_c2s (Proto.Hello { client = "x" }) in
+  let s2c = Proto.seal_s2c (Proto.Welcome { session = 1; payload = Proto.Delta [] }) in
+  let up =
+    let module W = Sm_dist.Wire in
+    W.seal_control (Sm_util.Codec.encode W.up_codec (W.Task_failed { uid = 0; reason = "r" }))
+  in
+  List.iter
+    (fun v ->
+      rejects "open" v (fun () -> ignore (Frame.open_ (restamp v control)));
+      rejects "c2s" v (fun () -> ignore (Proto.open_c2s (restamp v c2s)));
+      rejects "s2c" v (fun () -> ignore (Proto.open_s2c (restamp v s2c)));
+      match D.decode_up (restamp v up) with
+      | exception D.Remote_failure msg ->
+        Alcotest.(check string) "coordinator names the version"
+          (Printf.sprintf "rejected frame: peer speaks frame version %d, this build %d" v
+             Frame.version)
+          msg
+      | _ -> Alcotest.failf "coordinator: version %d must be rejected" v)
+    [ 0; 1; 2; 4; 255 ];
   (* Corrupt magic stays a [Bad_frame], distinguishable from wrong build. *)
-  let bad = Bytes.of_string (Frame.seal Frame.Control "x") in
+  let bad = Bytes.of_string control in
   Bytes.set bad 0 'X';
   match Frame.open_ (Bytes.to_string bad) with
   | exception Frame.Bad_frame _ -> ()
@@ -343,7 +337,7 @@ let frame_roundtrip_property () =
         if Sm_util.Det_rng.bool rng then Some (Sm_obs.Trace_ctx.child root "hop") else Some root
       else None
     in
-    let kind', ctx', payload' = Frame.open_rich (Frame.seal ?ctx kind payload) in
+    let kind', ctx', payload' = Frame.open_ (Frame.seal ?ctx kind payload) in
     check_bool "kind round-trips" (kind = kind');
     check_bool "payload round-trips" (String.equal payload payload');
     match (ctx, ctx') with
@@ -351,42 +345,6 @@ let frame_roundtrip_property () =
     | Some a, Some b -> check_bool "context round-trips" (Sm_obs.Trace_ctx.equal a b)
     | _ -> Alcotest.fail "context presence must round-trip"
   done
-
-(* A journal encoded classic (tagged op list, what v1/v2 frames imply) and
-   one encoded packed (v3) carry different bytes but must merge to the same
-   document and digest — the registry speaks both formats forever. *)
-let journal_format_compat () =
-  let reg = Reg.create () in
-  let kt = Reg.value reg ~name:"doc" (module Sm_dist.Codable.Text) in
-  let k = Reg.workspace_key kt in
-  let parent = Ws.create () in
-  Ws.init parent k (Sm_ot.Op_text.of_string "the quick brown fox");
-  let base = Ws.snapshot parent in
-  let child = Reg.build_workspace reg (Reg.encode_snapshot reg parent) in
-  List.iter (Ws.update child k)
-    [ Sm_ot.Op_text.ins 4 "very "; Sm_ot.Op_text.del ~pos:0 ~len:4; Sm_ot.Op_text.ins 0 "A " ];
-  let packed = Reg.encode_journal reg child in
-  let classic = Reg.encode_journal ~format:Sm_dist.Wire.Classic reg child in
-  check_bool "wire images differ" (packed <> classic);
-  check_bool "packed is denser"
-    (List.fold_left (fun n (_, s) -> n + String.length s) 0 packed
-    < List.fold_left (fun n (_, s) -> n + String.length s) 0 classic);
-  let merged fmt entries =
-    let ws = Reg.build_workspace reg (Reg.encode_snapshot reg parent) in
-    Reg.merge_journal ~format:fmt reg ~into:ws ~base entries;
-    (Sm_ot.Op_text.to_string (Ws.read ws k), Ws.digest ws)
-  in
-  let doc_p, dig_p = merged Sm_dist.Wire.Packed packed in
-  let doc_c, dig_c = merged Sm_dist.Wire.Classic classic in
-  Alcotest.(check string) "documents agree" doc_p doc_c;
-  Alcotest.(check string) "digests agree" dig_p dig_c;
-  Alcotest.(check string) "expected document" "A very quick brown fox" doc_p;
-  (* feeding packed bytes to the classic decoder must fail loudly, not
-     silently misparse *)
-  check_bool "formats are not interchangeable"
-    (match merged Sm_dist.Wire.Classic packed with
-    | _ -> false
-    | exception Sm_util.Codec.Decode_error _ -> true)
 
 let suite =
   [ Alcotest.test_case "remote counters sum" `Quick remote_counters
@@ -401,9 +359,7 @@ let suite =
   ; Alcotest.test_case "validation over the wire" `Quick validation_over_the_wire
   ; Alcotest.test_case "refusal preserves sibling bases" `Quick validation_preserves_history
   ; Alcotest.test_case "cluster reused across runs" `Quick cluster_reuse
-  ; Alcotest.test_case "frame: version negotiation + compat" `Quick frame_v1_compat
+  ; Alcotest.test_case "frame: golden header layout" `Quick frame_golden_layout
   ; Alcotest.test_case "frame: alien versions rejected" `Quick frame_unknown_version_rejected
   ; Alcotest.test_case "frame: seal/open round-trip property" `Quick frame_roundtrip_property
-  ; Alcotest.test_case "journal formats: classic and packed merge identically" `Quick
-      journal_format_compat
   ]

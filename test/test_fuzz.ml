@@ -73,32 +73,6 @@ let clean_seeds_pass () =
             (seeds_of 5))
         [ (P.det_profile, "det"); (P.full_profile, "full") ])
 
-(* The rope oracle on clean seeds, from both starting representations: a
-   focused run flips SM_ROPE inside the oracle, so driving it once with the
-   ambient default and once from the flipped baseline exercises rope-vs-flat
-   and flat-vs-rope digests on the same programs. *)
-let rope_oracle_clean_seeds () =
-  Sm_fuzz.Oracle.with_env (fun env ->
-      let was = Sm_ot.Op_text.rope_enabled () in
-      Fun.protect
-        ~finally:(fun () -> Sm_ot.Op_text.set_rope was)
-        (fun () ->
-          List.iter
-            (fun ambient ->
-              Sm_ot.Op_text.set_rope ambient;
-              List.iter
-                (fun seed ->
-                  let p =
-                    Sm_fuzz.Fuzzer.program_of_seed ~seed ~depth:2 ~profile:P.full_profile
-                  in
-                  match Sm_fuzz.Oracle.check ~focus:"rope" ~runs:2 env p with
-                  | Ok () -> ()
-                  | Error f ->
-                    Alcotest.failf "seed %Ld (ambient rope=%b): [%s] %s" seed ambient
-                      f.Sm_fuzz.Oracle.oracle f.Sm_fuzz.Oracle.detail)
-                (seeds_of 5))
-            [ true; false ]))
-
 (* The acceptance criterion: every PR-3 [Mutate] kind seeded into the data
    plane is caught by the differential oracle and shrinks to a program of at
    most 6 steps.  Driven through the corpus so the pinned entries and the
@@ -291,8 +265,6 @@ let suite =
   ; Alcotest.test_case "program: generator respects profile" `Quick generator_respects_profile
   ; Alcotest.test_case "program: profile string round-trip" `Quick profile_round_trip
   ; Alcotest.test_case "oracle: clean seeds pass everything" `Slow clean_seeds_pass
-  ; Alcotest.test_case "oracle: rope differential from both representations" `Slow
-      rope_oracle_clean_seeds
   ; Alcotest.test_case "corpus: seeded mutations caught, shrunk <= 6" `Slow
       corpus_catches_and_shrinks
   ; Alcotest.test_case "fuzz_one: failure report replays byte-for-byte" `Slow

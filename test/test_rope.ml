@@ -1,12 +1,13 @@
-(* The rope/flat differential battery.
+(* The rope differential battery.
 
    The chunked rope behind [Op_text] must be observationally identical to
-   the flat-string model: same documents, same lengths, same printed form
-   (hence same workspace digests), same errors.  Three layers of evidence:
+   the paper's flat-string model, kept here as a test-local reference: same
+   documents, same lengths, same printed form (hence same workspace
+   digests).  Three layers of evidence:
 
    - a differential sweep over every operation and operation sequence the
-     lib/check enumerator produces for text, applied to both
-     representations (apply, transform, compact and digest equality);
+     lib/check enumerator produces for text, applied to the rope and to the
+     flat model (apply, transform, compact and digest equality);
    - adversarial chunk-boundary fixtures on multi-chunk documents —
      inserts and deletes spanning leaf seams, whole-chunk deletes,
      repeated edge appends;
@@ -22,23 +23,30 @@ module Ws = Sm_mergeable.Workspace
 module Mtext = Sm_mergeable.Mtext
 module Rng = Sm_util.Det_rng
 
+(* The flat-string reference: O(n) splices, printed with [%S]. *)
+let flat_apply s = function
+  | T.Ins (p, t) -> String.sub s 0 p ^ t ^ String.sub s p (String.length s - p)
+  | T.Del (p, l) -> String.sub s 0 p ^ String.sub s (p + l) (String.length s - p - l)
+
 let pp_of st = Format.asprintf "%a" T.pp_state st
 
-(* Apply [op] to flat and rope builds of the same document and demand
-   byte-, length-, print- and equality-level agreement. *)
+(* The rope state agrees with the flat document at byte, length, print and
+   equality level. *)
+let agrees r f =
+  String.equal (T.to_string r) f
+  && T.length r = String.length f
+  && T.equal_state r (T.of_string f)
+  && String.equal (pp_of r) (Format.asprintf "%S" f)
+
+(* Apply [op] to the rope and the flat model of the same document and
+   demand agreement. *)
 let differential_step s op =
-  let f = T.apply (T.flat_of_string s) op in
-  let r = T.apply (T.rope_of_string s) op in
-  let ok =
-    String.equal (T.to_string f) (T.to_string r)
-    && T.length f = T.length r
-    && T.equal_state f r && T.equal_state r f
-    && String.equal (pp_of f) (pp_of r)
-  in
-  if not ok then
+  let f = flat_apply s op in
+  let r = T.apply (T.of_string s) op in
+  if not (agrees r f) then
     Alcotest.failf "divergence: state %S op %s (flat %S, rope %S)" s
-      (Format.asprintf "%a" T.pp_op op) (T.to_string f) (T.to_string r);
-  T.to_string f
+      (Format.asprintf "%a" T.pp_op op) f (T.to_string r);
+  f
 
 (* every enumerated single op, on every enumerated state *)
 let enumerated_ops_differential () =
@@ -50,12 +58,12 @@ let enumerated_ops_differential () =
         (fun op ->
           ignore (differential_step s op);
           incr total)
-        (Tx.ops (T.flat_of_string s)))
+        (Tx.ops (T.of_string s)))
     states;
   check_bool "swept a real op space" (!total > 50)
 
-(* every enumerated 2-op sequence: apply both raw and compacted, on both
-   representations — four runs that must land on the same document *)
+(* every enumerated 2-op sequence: apply both raw and compacted, on the rope
+   and the flat model — four runs that must land on the same document *)
 let enumerated_sequences_differential () =
   let states = [ ""; "ab"; "abcdef" ] in
   List.iter
@@ -67,24 +75,22 @@ let enumerated_sequences_differential () =
             (fun b ->
               let s2 = differential_step s1 b in
               let compacted = T.compact [ a; b ] in
-              let apply_all st ops = List.fold_left T.apply st ops in
-              let fc = apply_all (T.flat_of_string s) compacted in
-              let rc = apply_all (T.rope_of_string s) compacted in
-              check_bool "compacted flat agrees" (String.equal (T.to_string fc) s2);
-              check_bool "compacted rope agrees" (String.equal (T.to_string rc) s2);
-              check_bool "compacted reps agree" (T.equal_state fc rc))
-            (Tx.ops (T.flat_of_string s1)))
-        (Tx.ops (T.flat_of_string s)))
+              let fc = List.fold_left flat_apply s compacted in
+              let rc = List.fold_left T.apply (T.of_string s) compacted in
+              check_bool "compacted flat agrees" (String.equal fc s2);
+              check_bool "compacted rope agrees" (agrees rc s2))
+            (Tx.ops (T.of_string s1)))
+        (Tx.ops (T.of_string s)))
     states
 
 (* every enumerated concurrent pair, transformed both ways under both tie
-   winners, applied on both representations: TP1 with the convergence
-   judged across representations *)
+   winners, applied on the rope and the flat model: TP1 with the
+   convergence judged against the reference *)
 let enumerated_transforms_differential () =
   let states = [ ""; "ab"; "abcd" ] in
   List.iter
     (fun s ->
-      let ops = Tx.ops (T.flat_of_string s) in
+      let ops = Tx.ops (T.of_string s) in
       List.iter
         (fun a ->
           List.iter
@@ -98,46 +104,41 @@ let enumerated_transforms_differential () =
                   let seq st ops = List.fold_left T.apply st ops in
                   (* four routes to the merged document: flat and rope,
                      via-a and via-b — all must agree *)
-                  let flat_via_b = seq (T.apply (T.flat_of_string s) b) a' in
-                  let rope_via_b = seq (T.apply (T.rope_of_string s) b) a' in
-                  let flat_via_a = seq (T.apply (T.flat_of_string s) a) b' in
-                  let rope_via_a = seq (T.apply (T.rope_of_string s) a) b' in
-                  check_bool "tp1 across representations"
-                    (T.equal_state flat_via_b rope_via_b
-                    && T.equal_state flat_via_a rope_via_a
+                  let flat_via_b = List.fold_left flat_apply (flat_apply s b) a' in
+                  let rope_via_b = seq (T.apply (T.of_string s) b) a' in
+                  let flat_via_a = List.fold_left flat_apply (flat_apply s a) b' in
+                  let rope_via_a = seq (T.apply (T.of_string s) a) b' in
+                  check_bool "tp1 against the flat model"
+                    (agrees rope_via_b flat_via_b
+                    && agrees rope_via_a flat_via_a
                     && T.equal_state rope_via_b rope_via_a))
                 [ true; false ])
             ops)
         ops)
     states
 
-(* the end-to-end digest: the same edit script journaled through a
-   workspace digests identically whichever representation [init] picked *)
+(* the end-to-end digest: an edit script journaled through a workspace
+   digests identically to a workspace initialized with the flat model's
+   final document (a differently chunked rope of the same bytes) *)
 let workspace_digest_invariant () =
-  let script ws k =
-    Mtext.append ws k "hello world, this is a document";
-    Mtext.insert ws k 5 " there";
-    Mtext.delete ws k ~pos:0 ~len:3;
-    Mtext.append ws k (String.make 2500 'z');
-    Mtext.insert ws k 2000 "seam";
-    Mtext.delete ws k ~pos:1500 ~len:600
+  let ops =
+    [ T.Ins (4, "hello world, this is a document")
+    ; T.Ins (5, " there")
+    ; T.Del (0, 3)
+    ; T.Ins (38, String.make 2500 'z')
+    ; T.Ins (2000, "seam")
+    ; T.Del (1500, 600)
+    ]
   in
-  let digest rope =
-    let was = T.rope_enabled () in
-    Fun.protect
-      ~finally:(fun () -> T.set_rope was)
-      (fun () ->
-        T.set_rope rope;
-        let ws = Ws.create () in
-        let k = Mtext.key ~name:"rope.digest" in
-        Mtext.init ws k "seed";
-        script ws k;
-        (Ws.digest ws, Mtext.get ws k))
-  in
-  let df, cf = digest false in
-  let dr, cr = digest true in
-  Alcotest.(check string) "documents agree" cf cr;
-  Alcotest.(check string) "digests agree" df dr
+  let k = Mtext.key ~name:"rope.digest" in
+  let edited = Ws.create () in
+  Mtext.init edited k "seed";
+  List.iter (Ws.update edited k) ops;
+  let flat = List.fold_left flat_apply "seed" ops in
+  let reference = Ws.create () in
+  Mtext.init reference k flat;
+  Alcotest.(check string) "documents agree" flat (Mtext.get edited k);
+  Alcotest.(check string) "digests agree" (Ws.digest reference) (Ws.digest edited)
 
 (* --- chunk-boundary fixtures ------------------------------------------------- *)
 
@@ -154,12 +155,9 @@ let run_model label initial ops =
   List.iteri
     (fun i op ->
       (match op with
-      | T.Ins (p, s) ->
-        rope := Rope.insert !rope p s;
-        model := String.sub !model 0 p ^ s ^ String.sub !model p (String.length !model - p)
-      | T.Del (p, l) ->
-        rope := Rope.delete !rope ~pos:p ~len:l;
-        model := String.sub !model 0 p ^ String.sub !model (p + l) (String.length !model - p - l));
+      | T.Ins (p, s) -> rope := Rope.insert !rope p s
+      | T.Del (p, l) -> rope := Rope.delete !rope ~pos:p ~len:l);
+      model := flat_apply !model op;
       let step = Printf.sprintf "%s[%d]" label i in
       assert_valid !rope step;
       if not (Rope.equal_string !rope !model) then
@@ -285,16 +283,6 @@ let split_join_roundtrip () =
   Alcotest.(check string) "sub mid" (String.sub doc 1000 300) (Rope.sub r 1000 300);
   Alcotest.(check string) "sub whole" doc (Rope.sub r 0 5000)
 
-(* copies are content-equal but share no chunk strings with the source *)
-let copy_freshness () =
-  let r = Rope.of_string (String.make 5000 'x') in
-  let c = Rope.copy r in
-  check_bool "copy equal" (Rope.equal r c);
-  assert_valid c "copy";
-  let srcs = ref [] in
-  Rope.iter_chunks (fun s -> srcs := s :: !srcs) r;
-  Rope.iter_chunks (fun s -> check_bool "chunk not shared" (not (List.memq s !srcs))) c
-
 let suite =
   [ Alcotest.test_case "differential: enumerated ops" `Quick enumerated_ops_differential
   ; Alcotest.test_case "differential: enumerated sequences + compact" `Quick
@@ -306,5 +294,4 @@ let suite =
   ; Alcotest.test_case "fixtures: 10k edge appends stay balanced" `Quick edge_appends
   ; Alcotest.test_case "invariants: 10k random ops" `Quick random_ops_invariants
   ; Alcotest.test_case "invariants: split/join round-trips" `Quick split_join_roundtrip
-  ; Alcotest.test_case "invariants: copies are fresh" `Quick copy_freshness
   ]

@@ -59,14 +59,18 @@ let test_proto_roundtrip () =
     ; Proto.Bye { session = 3 }
     ]
   in
-  List.iter (fun m -> checkb "c2s roundtrip" true (Proto.open_c2s (Proto.seal_c2s m) = m)) c2s;
+  List.iter
+    (fun m -> checkb "c2s roundtrip" true (snd (Proto.open_c2s (Proto.seal_c2s m)) = m))
+    c2s;
   let s2c =
     [ Proto.Welcome { session = 3; payload = Proto.Delta [ (0, 1, 3, "ops") ] }
     ; Proto.Ack { session = 3; req = 8; payload = Proto.Snap [ (0, 5, "state") ] }
     ; Proto.Nack { session = 3; req = 8; reason = "unknown session" }
     ]
   in
-  List.iter (fun m -> checkb "s2c roundtrip" true (Proto.open_s2c (Proto.seal_s2c m) = m)) s2c;
+  List.iter
+    (fun m -> checkb "s2c roundtrip" true (snd (Proto.open_s2c (Proto.seal_s2c m)) = m))
+    s2c;
   check Alcotest.int "payload bytes count document bytes only" 3
     (Proto.payload_bytes (Proto.Delta [ (0, 1, 3, "ops") ]))
 
@@ -87,8 +91,8 @@ let test_frame_rejection () =
      must travel in a Delta frame, not a Snapshot one. *)
   let payload =
     match Proto.open_s2c (Proto.seal_s2c (Proto.Welcome { session = 1; payload = Proto.Delta [] })) with
-    | Proto.Welcome _ ->
-      let (_kind, body) =
+    | _, Proto.Welcome _ ->
+      let _kind, _ctx, body =
         Sm_dist.Wire.Frame.open_ (Proto.seal_s2c (Proto.Welcome { session = 1; payload = Proto.Delta [] }))
       in
       Sm_dist.Wire.Frame.seal Sm_dist.Wire.Frame.Snapshot body
@@ -235,6 +239,46 @@ let test_resume_mid_epoch () =
     !n
   in
   check Alcotest.int "B1 merged exactly once" 1 (occurrences text "B1")
+
+(* A frame stamped with any version but the current one — here an old
+   build's version 2 — is a typed rejection on both ends of a session: the
+   client records the failure instead of raising out of [tick], and the
+   shard counts a rejected frame without disturbing other sessions. *)
+let test_alien_version_frame () =
+  let restamp frame =
+    let b = Bytes.of_string frame in
+    Bytes.set_uint16_be b 2 2;
+    Bytes.to_string b
+  in
+  let alien = restamp (Proto.seal_s2c (Proto.Welcome { session = 1; payload = Proto.Delta [] })) in
+  (* s2c: a fake shard answers the client's Hello with the alien frame *)
+  let l = Sm_sim.Netpipe.listen () in
+  let c = Client.connect ~reg:(Service.registry docs) ~name:"carol" ~init:(fun _ -> ()) l in
+  let srv = Option.get (Sm_sim.Netpipe.try_accept l) in
+  Sm_sim.Netpipe.send srv alien;
+  Client.tick c;
+  (match Client.failed c with
+  | Some msg ->
+    checkb "failure names the version" true
+      (msg = Printf.sprintf "frame version 2 (this build speaks %d)" Sm_dist.Wire.Frame.version)
+  | None -> Alcotest.fail "client accepted an alien-version frame");
+  (* c2s: the same bytes sent to a live shard *)
+  let svc = make_service () in
+  let shard = Service.shard_of svc "t/readme" in
+  let a = connect svc ~shard "alice" in
+  drive svc [ a ] (fun () -> Client.synced a);
+  let server = Service.shard svc shard in
+  let rejects0 = Sm_shard.Server.rejected_frames server in
+  let digest0 = Ws.digest (Client.view a) in
+  Sm_sim.Netpipe.send (Sm_sim.Netpipe.connect (Service.listener svc shard)) alien;
+  for _ = 1 to 4 do
+    Service.tick svc;
+    Client.tick a
+  done;
+  check Alcotest.int "shard rejected the frame" (rejects0 + 1)
+    (Sm_shard.Server.rejected_frames server);
+  check Alcotest.string "other session undisturbed" digest0 (Ws.digest (Client.view a));
+  checkb "other session still healthy" true (Client.failed a = None)
 
 (* --- load: determinism, chaos, and the executors ----------------------------- *)
 
@@ -442,6 +486,8 @@ let suite =
   [ Alcotest.test_case "router: deterministic spread" `Quick test_router_determinism
   ; Alcotest.test_case "proto: frame roundtrips" `Quick test_proto_roundtrip
   ; Alcotest.test_case "proto: malformed frames rejected" `Quick test_frame_rejection
+  ; Alcotest.test_case "proto: alien frame version fails the client, not the process" `Quick
+      test_alien_version_frame
   ; Alcotest.test_case "tree codec roundtrip" `Quick test_tree_codec_roundtrip
   ; Alcotest.test_case "delta: encode/apply/dedup/gap" `Quick test_delta_encode_apply
   ; Alcotest.test_case "workspace: clone_trimmed and update_trimming" `Quick test_clone_trimmed

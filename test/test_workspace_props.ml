@@ -117,12 +117,11 @@ let truncate_then_merge =
 
    Spawn is O(cells) because children alias the parent's persistent state
    snapshots.  The battery pins the contract down observably: sharing costs
-   zero copies ([ws.cow_hits] = 0 until someone writes, [ws.copy_bytes] = 0
-   under COW), the first write per sharing window costs exactly one cow hit,
+   zero copies ([ws.cow_hits] = 0 until someone writes, states physically
+   shared), the first write per sharing window costs exactly one cow hit,
    writes are isolated across all nine mergeable types, clone chains
-   preserve digests, and lazily merged journals materialize on observation.
-   Every COW-specific assertion consults [cow_enabled] so the same battery
-   passes under the SM_COW=0 deep-copy baseline. *)
+   preserve digests, and lazily merged journals materialize on
+   observation. *)
 
 module M = Sm_obs.Metrics
 module Mcounter = Sm_mergeable.Mcounter
@@ -145,7 +144,6 @@ let nk_set = Mset.key ~name:"nine.set"
 let nk_map = Mmap.key ~name:"nine.map"
 let nk_tree = Mtree.key ~name:"nine.tree"
 let nk_lazy = Mlist.key ~name:"nine.lazy"
-let nk_cow = Mlist.key ~name:"nine.cowprop"
 
 let make_nine () =
   let ws = Ws.create () in
@@ -178,24 +176,19 @@ let with_metrics f =
   Fun.protect ~finally:(fun () -> M.set_enabled saved) f
 
 let hits () = M.value Ws.cow_hits
-let bytes () = M.value Ws.copy_bytes
 let check_int name expected got = Alcotest.(check int) name expected got
 
 let spawn_zero_copy () =
   with_metrics @@ fun () ->
   let ws = make_nine () in
-  let h0 = hits () and b0 = bytes () in
+  let h0 = hits () in
   let child = Ws.copy ws in
   check_int "nine cells travel" 9 (Ws.cell_count child);
   check_int "spawn costs no cow hits" 0 (hits () - h0);
-  if Ws.cow_enabled () then begin
-    check_int "spawn copies zero bytes" 0 (bytes () - b0);
-    (* the child aliases the parent's persistent states outright *)
-    check_bool "text state shared" (Mtext.state ws nk_text == Mtext.state child nk_text);
-    check_bool "list state shared" (Mlist.get ws nk_list == Mlist.get child nk_list);
-    check_bool "tree state shared" (Mtree.get ws nk_tree == Mtree.get child nk_tree)
-  end
-  else check_bool "baseline deep-copies bytes" (bytes () - b0 > 0);
+  (* the child aliases the parent's persistent states outright *)
+  check_bool "text state shared" (Mtext.state ws nk_text == Mtext.state child nk_text);
+  check_bool "list state shared" (Mlist.get ws nk_list == Mlist.get child nk_list);
+  check_bool "tree state shared" (Mtree.get ws nk_tree == Mtree.get child nk_tree);
   check_bool "identical observations on both sides" (Ws.equal ws child);
   check_bool "identical digests" (String.equal (Ws.digest ws) (Ws.digest child));
   check_int "reading costs no cow hits either" 0 (hits () - h0)
@@ -209,17 +202,11 @@ let cow_hit_on_first_write () =
   let after_first = hits () - h0 in
   Mtext.append child nk_text "?";
   let after_second = hits () - h0 in
-  if Ws.cow_enabled () then begin
-    check_int "first write privatizes the cell once" 1 after_first;
-    check_int "later writes are free" 1 after_second;
-    Mtext.append ws nk_text "~";
-    check_int "the parent's first write also counts" 2 (hits () - h0)
-  end
-  else begin
-    check_int "the baseline never cow-hits" 0 after_second;
-    Mtext.append ws nk_text "~"
-  end;
-  check_bool "the texts diverged regardless of mode"
+  check_int "first write privatizes the cell once" 1 after_first;
+  check_int "later writes are free" 1 after_second;
+  Mtext.append ws nk_text "~";
+  check_int "the parent's first write also counts" 2 (hits () - h0);
+  check_bool "the texts diverged"
     (not (String.equal (Mtext.get child nk_text) (Mtext.get ws nk_text)))
 
 let write_isolation_nine () =
@@ -239,14 +226,15 @@ let copy_chain_zero_copy () =
   with_metrics @@ fun () ->
   let ws = make_nine () in
   let d0 = Ws.digest ws in
-  let h0 = hits () and b0 = bytes () in
+  let h0 = hits () in
   let deepest = List.fold_left (fun w _ -> Ws.copy w) ws (List.init 20 Fun.id) in
   check_int "20-deep spawn chain: no cow hits" 0 (hits () - h0);
-  if Ws.cow_enabled () then check_int "and zero bytes copied" 0 (bytes () - b0);
+  check_bool "and the root's text is shared"
+    (Mtext.state ws nk_text == Mtext.state deepest nk_text);
   check_bool "deepest copy digests like the root" (String.equal d0 (Ws.digest deepest));
   let h1 = hits () in
   Mcounter.incr deepest nk_counter;
-  if Ws.cow_enabled () then check_int "one hit at the deepest only" 1 (hits () - h1);
+  check_int "one hit at the deepest only" 1 (hits () - h1);
   check_bool "the root never noticed" (String.equal d0 (Ws.digest ws))
 
 let clone_trimmed_chain () =
@@ -294,57 +282,6 @@ let lazy_merge_materializes () =
   check_bool "truncation keeps the unapplied suffix readable"
     (Mlist.get ws nk_lazy = expected @ [ 9 ])
 
-let copy_state_laws () =
-  let law (type s o) name
-      (module D : Sm_mergeable.Data.S with type state = s and type op = o) (s : s) ~fresh =
-    let c = D.copy_state s in
-    check_bool (name ^ ": copy is equal") (D.equal_state s c);
-    check_bool (name ^ ": copy prints identically")
-      (String.equal (Format.asprintf "%a" D.pp_state s) (Format.asprintf "%a" D.pp_state c));
-    check_bool (name ^ ": size is positive") (D.state_size s > 0);
-    (* scalars copy by identity (nothing structural to duplicate); aggregates
-       must come back structurally fresh *)
-    if fresh then check_bool (name ^ ": copy is structurally fresh") (not (s == c))
-  in
-  law "counter" (module Mcounter.Data) 41 ~fresh:false;
-  law "register" (module Mreg.Data) "reg" ~fresh:false;
-  law "text" (module Mtext.Data) (Sm_ot.Op_text.of_string "abcdef") ~fresh:true;
-  law "list" (module Mlist.Data) [ 1; 2 ] ~fresh:true;
-  law "queue" (module Mq.Data) [ 3 ] ~fresh:true;
-  law "stack" (module Mstk.Data) [ 4 ] ~fresh:true;
-  law "set" (module Mset.Data) Mset.Op.Elt_set.(add 1 (add 2 empty)) ~fresh:true;
-  law "map" (module Mmap.Data) Mmap.Op.Key_map.(add "a" 1 empty) ~fresh:true;
-  law "tree" (module Mtree.Data) [ Mtree.Op.leaf "x" ] ~fresh:true;
-  check_bool "text size tracks content"
-    (Mtext.Data.state_size (Sm_ot.Op_text.of_string (String.make 1000 'x'))
-    > Mtext.Data.state_size (Sm_ot.Op_text.of_string "x"))
-
-(* the full merge pipeline digests identically under both representations *)
-let cow_equivalence =
-  qtest ~count:200 "digest invariant under set_cow" gen_case
-    (fun (initial, parent_script, s1, s2) ->
-      let run () =
-        let ws = Ws.create () in
-        Ws.init ws nk_cow initial;
-        let base = Ws.snapshot ws in
-        let c1 = Ws.copy ws and c2 = Ws.copy ws in
-        apply_script ws nk_cow parent_script;
-        apply_script c1 nk_cow s1;
-        apply_script c2 nk_cow s2;
-        Ws.merge_child ~parent:ws ~child:c1 ~base;
-        Ws.merge_child ~parent:ws ~child:c2 ~base;
-        Ws.digest ws
-      in
-      let saved = Ws.cow_enabled () in
-      Fun.protect
-        ~finally:(fun () -> Ws.set_cow saved)
-        (fun () ->
-          Ws.set_cow true;
-          let on = run () in
-          Ws.set_cow false;
-          let off = run () in
-          String.equal on off))
-
 let suite =
   [ workspace_matches_control
   ; rebase_reproduces_parent
@@ -356,6 +293,4 @@ let suite =
   ; Alcotest.test_case "20-deep copy chains share until written" `Quick copy_chain_zero_copy
   ; Alcotest.test_case "clone chains preserve digests and versions" `Quick clone_trimmed_chain
   ; Alcotest.test_case "lazy merges materialize on observation" `Quick lazy_merge_materializes
-  ; Alcotest.test_case "copy_state/state_size laws (nine types)" `Quick copy_state_laws
-  ; cow_equivalence
   ]
