@@ -1228,29 +1228,29 @@ let () =
   if obs then Sm_obs.Metrics.set_enabled true;
   if (trace_path <> None || jsonl_path <> None) && Sm_obs.level () = Sm_obs.Off then
     Sm_obs.set_level Sm_obs.Debug;
-  let recorder =
+  let chrome =
     Option.map
       (fun path ->
-        let r = Sm_obs.Trace_chrome.recorder () in
-        (r, path))
+        let sink, collected = Sm_obs.Sink.collecting () in
+        (sink, collected, path))
       trace_path
   in
   let jsonl_sink = Option.map (fun path -> (Sm_obs.Trace_jsonl.file_sink path, path)) jsonl_path in
-  (match (recorder, jsonl_sink) with
+  (match (chrome, jsonl_sink) with
   | None, None -> ()
-  | Some (r, _), None -> Sm_obs.set_sink (Sm_obs.Trace_chrome.sink r)
+  | Some (r, _, _), None -> Sm_obs.set_sink r
   | None, Some (s, _) -> Sm_obs.set_sink s
-  | Some (r, _), Some (s, _) -> Sm_obs.set_sink (Sm_obs.Sink.tee (Sm_obs.Trace_chrome.sink r) s));
+  | Some (r, _, _), Some (s, _) -> Sm_obs.set_sink (Sm_obs.Sink.tee r s));
   let finish name =
     write_json name;
     (* reset_sink flushes and closes the installed sink(s) — in particular
        the JSONL file — before anything tries to read them back. *)
-    if recorder <> None || jsonl_sink <> None then Sm_obs.reset_sink ();
+    if Option.is_some chrome || Option.is_some jsonl_sink then Sm_obs.reset_sink ();
     Option.iter
-      (fun (r, path) ->
-        Sm_obs.Trace_chrome.write_file r path;
+      (fun (_, collected, path) ->
+        Sm_obs.Trace_chrome.write_file (collected ()) path;
         Format.printf "@.wrote Chrome trace %s  (load it in chrome://tracing or ui.perfetto.dev)@." path)
-      recorder;
+      chrome;
     Option.iter
       (fun (_, path) ->
         Format.printf "@.wrote JSONL trace %s  (analyze it with sm-trace)@." path)

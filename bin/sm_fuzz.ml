@@ -134,15 +134,13 @@ let run_dist ~seeds ~seed_base =
     (if !failures = 1 then "" else "s");
   if !failures > 0 then exit 1
 
-let lane_file name =
-  String.map (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' as c -> c | _ -> '_') name
-
 let write_flight dir ~seed flight =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   List.map
     (fun (lane, lines) ->
       let path =
-        Filename.concat dir (Printf.sprintf "seed-0x%Lx-%s.flight.jsonl" seed (lane_file lane))
+        Filename.concat dir
+          (Printf.sprintf "seed-0x%Lx-%s.flight.jsonl" seed (Sm_obs.Trace_jsonl.lane_file lane))
       in
       let oc = open_out path in
       List.iter

@@ -43,19 +43,19 @@ let critical_path path root =
 let attribute path json =
   let model = load_model path in
   let rows = Obs.Attribution.of_model model in
-  let docs = Obs.Attribution.docs_of_model model in
+  let docs = Obs.Trace_model.doc_profiles model in
   if json then
     print_endline
       (Obs.Json.to_string
          (Obs.Json.Obj
             [ ("tasks", Obs.Attribution.to_json rows)
-            ; ("docs", Obs.Attribution.docs_to_json docs)
+            ; ("docs", Obs.Doc_profile.to_json docs)
             ]))
   else begin
     Obs.Attribution.pp Format.std_formatter rows;
     if docs <> [] then begin
       Format.printf "@.hot documents:@.";
-      Obs.Attribution.pp_docs Format.std_formatter docs
+      Obs.Doc_profile.pp Format.std_formatter docs
     end
   end
 

@@ -63,9 +63,9 @@ let () =
      produces counters and latency histograms. *)
   Obs.set_level Obs.Debug;
   Obs.Metrics.set_enabled true;
-  let recorder = Obs.Trace_chrome.recorder () in
+  let collector, collected = Obs.Sink.collecting () in
   let jsonl = Obs.Trace_jsonl.file_sink jsonl_file in
-  Obs.set_sink (Obs.Sink.tee (Obs.Trace_chrome.sink recorder) jsonl);
+  Obs.set_sink (Obs.Sink.tee collector jsonl);
 
   let program ctx =
     let ws = R.workspace ctx in
@@ -81,10 +81,10 @@ let () =
   Obs.flush ();
   Obs.reset_sink ();
   jsonl.Obs.Sink.close ();
-  Obs.Trace_chrome.write_file recorder trace_file;
+  let events = collected () in
+  Obs.Trace_chrome.write_file events trace_file;
 
   Format.printf "counter after merge: %d@." total;
-  let events = Obs.Trace_chrome.events recorder in
   Format.printf "recorded %d events across the run (%s scheduler)@." (List.length events)
     (if coop then "cooperative" else "threaded");
   Format.printf "@.-- metrics --@.";

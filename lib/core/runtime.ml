@@ -2,12 +2,6 @@ module Ws = Sm_mergeable.Workspace
 module Obs = Sm_obs
 module E = Sm_obs.Event
 
-(* Debug tracing: silent unless the application enables a Logs reporter and
-   sets the level of the "sm.runtime" source to Debug. *)
-let log_src = Logs.Src.create "sm.runtime" ~doc:"Spawn/Merge runtime events"
-
-module Log = (val Logs.src_log log_src)
-
 (* Structured observability (see Sm_obs): every lifecycle edge below emits an
    event when the verbosity gate is open, and feeds counters/histograms when
    metrics are enabled.  Both gates default to off, leaving one load+branch
@@ -146,7 +140,6 @@ let make_child ?(obs_kind = E.Spawn) parent ~ws ~base =
   in
   parent.children <- parent.children @ [ child ];
   parent.rt.sched.broadcast ();
-  Log.debug (fun m -> m "spawn %s (child of %s)" child.name parent.name);
   if Sanitizer_hook.active () then
     Sanitizer_hook.emit (Sanitizer_hook.Task_started { task = child.name });
   if Obs.on Obs.Info then begin
@@ -178,17 +171,6 @@ let merge_child_locked ctx ~validate child =
       else Some Validation_failed
     | Running | Retired -> assert false
   in
-  Log.debug (fun m ->
-      m "merge %s: %s%s" child.name
-        (match child.state with
-        | Sync_waiting -> "sync"
-        | Completed -> "completed"
-        | Failed -> "failed"
-        | Running | Retired -> "?")
-        (match refusal with
-        | None -> ""
-        | Some Aborted -> " (discarded: aborted)"
-        | Some Validation_failed -> " (discarded: validation failed)"));
   (* Per-merge accounting: journal length folded in, and the OT transform
      calls it took (a delta on the global counter — sound because the runtime
      lock serializes merges; concurrent *other* runtimes in the process can
@@ -421,7 +403,6 @@ let sync ctx =
   let t0 = if timed then Obs.Clock.now_ns () else 0 in
   let outcome =
     with_lock ctx.rt (fun () ->
-        Log.debug (fun m -> m "sync %s: parked" ctx.name);
         ctx.state <- Sync_waiting;
         ctx.rt.sched.broadcast ();
         let rec wait () =
@@ -544,7 +525,6 @@ let clone ctx body =
 let abort ctx h =
   with_lock ctx.rt (fun () ->
       check_child ctx h;
-      Log.debug (fun m -> m "abort %s (by %s)" h.name ctx.name);
       Obs.Metrics.incr m_aborts;
       if Obs.on Obs.Info then
         Obs.emit (E.make ~task:ctx.name ~task_id:ctx.id ~args:[ ("child", E.S h.name) ] E.Abort);

@@ -12,6 +12,12 @@ module type CODABLE_ORDERED_ELT = sig
   val codec : t C.t
 end
 
+module type S = sig
+  include Registry.CODABLE_DATA
+
+  val op_codec : op C.t
+end
+
 module Int_elt = struct
   type t = int
 

@@ -16,10 +16,17 @@ module type CODABLE_ORDERED_ELT = sig
   val codec : t Sm_util.Codec.t
 end
 
-module Counter : Registry.CODABLE_DATA with type state = int and type op = Sm_ot.Op_counter.op
+(** A registrable type plus its single-op codec — the building block of
+    most [journal_codec]s, and a size yardstick for the packed text form. *)
+module type S = sig
+  include Registry.CODABLE_DATA
 
-module Text :
-  Registry.CODABLE_DATA with type state = Sm_ot.Op_text.state and type op = Sm_ot.Op_text.op
+  val op_codec : op Sm_util.Codec.t
+end
+
+module Counter : S with type state = int and type op = Sm_ot.Op_counter.op
+
+module Text : S with type state = Sm_ot.Op_text.state and type op = Sm_ot.Op_text.op
 (** Text snapshots ship flattened bytes (independent of the rope's chunk
     layout); the {!Registry.CODABLE_DATA.journal_codec} is the packed binary
     form — delta-encoded positions, varint-framed — that journal frames
@@ -28,19 +35,19 @@ module Text :
 module Make_list (Elt : CODABLE_ELT) : sig
   module Op : module type of Sm_ot.Op_list.Make (Elt)
 
-  include Registry.CODABLE_DATA with type state = Elt.t list and type op = Op.op
+  include S with type state = Elt.t list and type op = Op.op
 end
 
 module Make_queue (Elt : CODABLE_ELT) : sig
   module Op : module type of Sm_ot.Op_queue.Make (Elt)
 
-  include Registry.CODABLE_DATA with type state = Elt.t list and type op = Op.op
+  include S with type state = Elt.t list and type op = Op.op
 end
 
 module Make_tree (Label : CODABLE_ELT) : sig
   module Op : module type of Sm_ot.Op_tree.Make (Label)
 
-  include Registry.CODABLE_DATA with type state = Op.node list and type op = Op.op
+  include S with type state = Op.node list and type op = Op.op
 
   val node_codec : Op.node Sm_util.Codec.t
   (** Preorder (label, child-count, children) encoding — exposed for shard
@@ -50,13 +57,13 @@ end
 module Make_register (V : CODABLE_ELT) : sig
   module Op : module type of Sm_ot.Op_register.Make (V)
 
-  include Registry.CODABLE_DATA with type state = V.t and type op = Op.op
+  include S with type state = V.t and type op = Op.op
 end
 
 module Make_map (Key : CODABLE_ORDERED_ELT) (Value : CODABLE_ELT) : sig
   module Op : module type of Sm_ot.Op_map.Make (Key) (Value)
 
-  include Registry.CODABLE_DATA with type state = Value.t Op.Key_map.t and type op = Op.op
+  include S with type state = Value.t Op.Key_map.t and type op = Op.op
 end
 
 (** Ready-made codable elements. *)

@@ -4,11 +4,9 @@ module type CODABLE_DATA = sig
   include Sm_mergeable.Data.S
 
   val state_codec : state Sm_util.Codec.t
-  val op_codec : op Sm_util.Codec.t
 
   val journal_codec : op list Sm_util.Codec.t
-  (* the packed whole-journal form; [C.list op_codec] when the type has no
-     denser encoding *)
+  (* the packed whole-journal form *)
 end
 
 type ('s, 'o) rkey =
@@ -175,9 +173,7 @@ let merge_edit t ~into ~base_rev entries =
     0 entries
 
 let merge_journal t ~into ~base entries =
-  List.iter
-    (fun (id, bytes) ->
-      let (V rk) = find_value t id in
-      let ops = Sm_util.Codec.decode rk.journal_codec bytes in
-      Ws.merge_ops into rk.wkey ~ops ~base_version:(Ws.version_in base rk.wkey))
-    entries
+  ignore
+    (merge_edit t ~into entries ~base_rev:(fun id ->
+         let (V rk) = find_value t id in
+         Ws.version_in base rk.wkey))

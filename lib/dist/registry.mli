@@ -24,12 +24,11 @@ module type CODABLE_DATA = sig
   include Sm_mergeable.Data.S
 
   val state_codec : state Sm_util.Codec.t
-  val op_codec : op Sm_util.Codec.t
 
   val journal_codec : op list Sm_util.Codec.t
   (** The type's packed whole-journal encoding — what every journal and
       delta frame carries.  Types with no denser form than a tagged op list
-      use [Sm_util.Codec.list op_codec]; {!Codable.Text} ships a
+      use [Sm_util.Codec.list] over a per-op codec; {!Codable.Text} ships a
       varint/delta form. *)
 end
 

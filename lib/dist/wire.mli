@@ -59,6 +59,12 @@ val open_control : string -> Sm_obs.Trace_ctx.t option * string
     {!Frame.version}. *)
 
 type entries = (int * string) list
+(** [(wire_id, bytes)] per registered value: encoded states (snapshots) or
+    packed journals, as {!Registry} produces them. *)
+
+val entries_codec : entries Sm_util.Codec.t
+(** The one encoding of {!entries}, shared by the coordinator protocol and
+    the shard protocol's edit batches. *)
 
 type down =
   | Spawn of

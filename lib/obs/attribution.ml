@@ -56,59 +56,6 @@ let row_of_task (t : M.task) =
 
 let of_model model = List.map row_of_task (List.filter (fun (t : M.task) -> t.M.started) (M.tasks model))
 
-(* --- conflict profiler: hot documents ---------------------------------------- *)
-
-(* Per-document view of the same accounting: which documents drew the
-   transform storms.  Rows come pre-sorted hottest-first from
-   {!Trace_model.doc_stats}; only traces carrying [Doc_merge] events (the
-   shard service at Debug) produce any. *)
-type doc_row =
-  { doc : string
-  ; doc_merges : int
-  ; doc_ops : int
-  ; doc_transforms : int
-  ; doc_compact_in : int
-  ; doc_compact_out : int
-  }
-
-let docs_of_model model =
-  List.map
-    (fun (d : M.doc_stat) ->
-      { doc = d.M.doc
-      ; doc_merges = d.M.d_merges
-      ; doc_ops = d.M.d_ops
-      ; doc_transforms = d.M.d_transforms
-      ; doc_compact_in = d.M.d_compact_in
-      ; doc_compact_out = d.M.d_compact_out
-      })
-    (M.doc_stats model)
-
-let doc_to_json d =
-  Json.Obj
-    [ ("doc", Json.String d.doc)
-    ; ("merges", Json.Int d.doc_merges)
-    ; ("ops", Json.Int d.doc_ops)
-    ; ("transforms", Json.Int d.doc_transforms)
-    ; ("compact_in", Json.Int d.doc_compact_in)
-    ; ("compact_out", Json.Int d.doc_compact_out)
-    ]
-
-let docs_to_json docs = Json.List (List.map doc_to_json docs)
-
-let pp_docs ppf docs =
-  Format.fprintf ppf "%-24s %7s %7s %7s %9s %11s@." "document" "merges" "ops" "xform"
-    "compact" "ratio";
-  List.iter
-    (fun d ->
-      let ratio =
-        if d.doc_compact_in > 0 then
-          Printf.sprintf "%.2f" (float_of_int d.doc_compact_out /. float_of_int d.doc_compact_in)
-        else "-"
-      in
-      Format.fprintf ppf "%-24s %7d %7d %7d %4d->%-4d %11s@." d.doc d.doc_merges d.doc_ops
-        d.doc_transforms d.doc_compact_in d.doc_compact_out ratio)
-    docs
-
 let totals rows =
   List.fold_left
     (fun acc r ->

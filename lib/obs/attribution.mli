@@ -56,24 +56,3 @@ val transforms_observed : row list -> int
 
 val to_json : row list -> Json.t
 val pp : Format.formatter -> row list -> unit
-
-(** {1 Conflict profiler: hot documents} *)
-
-(** Per-document attribution from {!Event.Doc_merge} events: which
-    documents drew the transform calls and how well their journals
-    compacted.  Empty unless the trace was taken at Debug verbosity over
-    the shard service. *)
-type doc_row =
-  { doc : string  (** document wire name *)
-  ; doc_merges : int  (** epochs that folded edits into it *)
-  ; doc_ops : int
-  ; doc_transforms : int
-  ; doc_compact_in : int
-  ; doc_compact_out : int
-  }
-
-val docs_of_model : Trace_model.t -> doc_row list
-(** Hottest (most transforms) first. *)
-
-val docs_to_json : doc_row list -> Json.t
-val pp_docs : Format.formatter -> doc_row list -> unit

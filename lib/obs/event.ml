@@ -1,5 +1,3 @@
-module C = Sm_util.Codec
-
 type arg =
   | I of int
   | F of float
@@ -96,82 +94,6 @@ let all_kinds =
   ]
 
 let kind_of_string s = List.find_opt (fun k -> String.equal (kind_to_string k) s) all_kinds
-
-(* Integer tags for the wire codec: stable, append-only. *)
-let kind_tag = function
-  | Task_start -> 0
-  | Task_end -> 1
-  | Spawn -> 2
-  | Clone -> 3
-  | Merge_begin -> 4
-  | Merge_child -> 5
-  | Merge_end -> 6
-  | Sync_begin -> 7
-  | Sync_end -> 8
-  | Abort -> 9
-  | Validation_fail -> 10
-  | Phase_begin -> 11
-  | Phase_end -> 12
-  | Note -> 13
-  | Epoch_begin -> 14
-  | Epoch_end -> 15
-  | Delta_sync -> 16
-  | Req_begin -> 17
-  | Req_end -> 18
-  | Serve -> 19
-  | Epoch_merge -> 20
-  | Doc_merge -> 21
-
-let kind_of_tag = function
-  | 0 -> Task_start
-  | 1 -> Task_end
-  | 2 -> Spawn
-  | 3 -> Clone
-  | 4 -> Merge_begin
-  | 5 -> Merge_child
-  | 6 -> Merge_end
-  | 7 -> Sync_begin
-  | 8 -> Sync_end
-  | 9 -> Abort
-  | 10 -> Validation_fail
-  | 11 -> Phase_begin
-  | 12 -> Phase_end
-  | 13 -> Note
-  | 14 -> Epoch_begin
-  | 15 -> Epoch_end
-  | 16 -> Delta_sync
-  | 17 -> Req_begin
-  | 18 -> Req_end
-  | 19 -> Serve
-  | 20 -> Epoch_merge
-  | 21 -> Doc_merge
-  | t -> raise (C.Decode_error (Printf.sprintf "Event.codec: unknown kind tag %d" t))
-
-let arg_codec : arg C.t =
-  C.tagged
-    ~tag:(function I _ -> 0 | F _ -> 1 | S _ -> 2 | B _ -> 3)
-    ~write:(fun w -> function
-      | I i -> C.W.int w i
-      | F f -> C.W.value C.float w f
-      | S s -> C.W.string w s
-      | B b -> C.W.bool w b)
-    ~read:(fun tag r ->
-      match tag with
-      | 0 -> I (C.R.int r)
-      | 1 -> F (C.R.value C.float r)
-      | 2 -> S (C.R.string r)
-      | 3 -> B (C.R.bool r)
-      | t -> raise (C.Decode_error (Printf.sprintf "Event.codec: unknown arg tag %d" t)))
-
-let kind_codec : kind C.t = C.map kind_tag kind_of_tag C.int
-
-let codec : t C.t =
-  C.map
-    (fun e -> ((e.seq, e.ts_ns, e.kind), (e.task, e.task_id, e.args)))
-    (fun ((seq, ts_ns, kind), (task, task_id, args)) -> { seq; ts_ns; kind; task; task_id; args })
-    (C.pair
-       (C.triple C.int C.int kind_codec)
-       (C.triple C.string C.int (C.list (C.pair C.string arg_codec))))
 
 let pp_arg ppf = function
   | I i -> Format.pp_print_int ppf i

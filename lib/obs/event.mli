@@ -94,8 +94,5 @@ val kind_of_string : string -> kind option
 val all_kinds : kind list
 (** Every constructor once, in declaration order. *)
 
-val codec : t Sm_util.Codec.t
-(** Binary round-trip, e.g. for shipping event streams between ranks. *)
-
 val pp : Format.formatter -> t -> unit
 val pp_arg : Format.formatter -> arg -> unit

@@ -3,10 +3,9 @@
 
     Counters render as `# TYPE sm_<name> counter` samples; histograms as
     summaries (p50/p90/p95/p99 quantile series, `_sum`, `_count`) computed
-    from their retained samples — under a {!Metrics.set_sample_cap}
-    reservoir these are unbiased estimates of the full window.  Metric
-    names are sanitized to the Prometheus grammar and prefixed [sm_]
-    ([runtime.merge_ns] → [sm_runtime_merge_ns]). *)
+    from every sample of the window.  Metric names are sanitized to the
+    Prometheus grammar and prefixed [sm_] ([runtime.merge_ns] →
+    [sm_runtime_merge_ns]). *)
 
 val sanitize : string -> string
 
@@ -28,8 +27,7 @@ type reporter
 val start : ?period_s:float -> (string -> unit) -> reporter
 (** Spawn a daemon thread that hands the current exposition to the callback
     every [period_s] (default 5s) until {!stop}.  Callback exceptions are
-    swallowed; with a {!Metrics.set_sample_cap} bound in place the registry
-    stays O(cap) however long the reporter runs.
+    swallowed.
     @raise Invalid_argument on a non-positive period. *)
 
 val stop : reporter -> unit

@@ -73,17 +73,7 @@ let line_of_event (e : Event.t) =
     (Json.Obj
        [ ("kind", Json.String (Event.kind_to_string kind))
        ; ("task", Json.String task)
-       ; ( "args"
-         , Json.Obj
-             (List.map
-                (fun (k, v) ->
-                  ( k
-                  , match v with
-                    | Event.I i -> Json.Int i
-                    | Event.F f -> Json.Float f
-                    | Event.S s -> Json.String s
-                    | Event.B b -> Json.Bool b ))
-                args) )
+       ; ("args", Json.Obj (List.map (fun (k, v) -> (k, Trace_jsonl.arg_to_json v)) args))
        ])
 
 let dump_lines t = List.map line_of_event (events t)
@@ -115,14 +105,11 @@ let reset () =
       registry := [];
       last := None)
 
-let lane_file name =
-  String.map (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' as c -> c | _ -> '_') name
-
 let write_dir dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.iter
     (fun (name, lines) ->
-      let path = Filename.concat dir (lane_file name ^ ".flight.jsonl") in
+      let path = Filename.concat dir (Trace_jsonl.lane_file name ^ ".flight.jsonl") in
       let oc = open_out path in
       Fun.protect
         ~finally:(fun () -> close_out oc)

@@ -7,8 +7,6 @@ type histogram =
   { hname : string
   ; hlock : Mutex.t
   ; samples : float Sm_util.Vec.t
-  ; mutable hseen : int  (* observations since the last reset, kept vs dropped *)
-  ; mutable hrng : int  (* per-histogram LCG state for reservoir replacement *)
   }
 
 type metric =
@@ -21,19 +19,6 @@ type metric =
 let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
 let is_enabled () = Atomic.get enabled_flag
-
-(* 0 means unbounded (the historical behavior).  With a cap, histograms
-   switch to reservoir sampling (algorithm R) once full, so a long --obs run
-   or a periodic reporter holds at most [cap] floats per histogram while the
-   kept set stays a uniform sample of everything observed. *)
-let cap_cell = Atomic.make 0
-
-let set_sample_cap = function
-  | None -> Atomic.set cap_cell 0
-  | Some c when c >= 1 -> Atomic.set cap_cell c
-  | Some c -> invalid_arg (Printf.sprintf "Metrics.set_sample_cap: cap %d < 1" c)
-
-let sample_cap () = match Atomic.get cap_cell with 0 -> None | c -> Some c
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 32
 let registry_lock = Mutex.create ()
@@ -61,8 +46,6 @@ let histogram name =
         { hname = name
         ; hlock = Mutex.create ()
         ; samples = Sm_util.Vec.create ()
-        ; hseen = 0
-        ; hrng = Hashtbl.hash name land 0x3FFFFFFF
         })
     (function
       | Histogram h -> h
@@ -74,24 +57,11 @@ let value c = Atomic.get c.cell
 let counter_name c = c.cname
 
 let observe h x =
-  if Atomic.get enabled_flag then
-    Mutex.protect h.hlock (fun () ->
-        h.hseen <- h.hseen + 1;
-        let cap = Atomic.get cap_cell in
-        if cap = 0 || Sm_util.Vec.length h.samples < cap then Sm_util.Vec.push h.samples x
-        else begin
-          (* Vitter's algorithm R: keep the new sample with probability
-             cap/seen, evicting a uniformly chosen resident.  A 31-bit LCG
-             is plenty for sampling and keeps the module dependency-free. *)
-          h.hrng <- ((h.hrng * 1103515245) + 12345) land 0x3FFFFFFFFFFF;
-          let j = h.hrng mod h.hseen in
-          if j < cap then Sm_util.Vec.set h.samples j x
-        end)
+  if Atomic.get enabled_flag then Mutex.protect h.hlock (fun () -> Sm_util.Vec.push h.samples x)
 
 let observe_ns h ~since = observe h (float_of_int (Clock.now_ns () - since))
 
 let samples h = Mutex.protect h.hlock (fun () -> Sm_util.Vec.to_list h.samples)
-let observed_count h = Mutex.protect h.hlock (fun () -> h.hseen)
 let histogram_name h = h.hname
 
 let summary h =
@@ -136,9 +106,7 @@ let reset () =
     (function
       | Counter c -> Atomic.set c.cell 0
       | Histogram h ->
-        Mutex.protect h.hlock (fun () ->
-            Sm_util.Vec.clear h.samples;
-            h.hseen <- 0))
+        Mutex.protect h.hlock (fun () -> Sm_util.Vec.clear h.samples))
     (sorted_metrics ())
 
 let dump ppf () =

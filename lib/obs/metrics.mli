@@ -11,22 +11,10 @@
 
     Histograms keep every sample (a growable vector guarded by a mutex) and
     summarize through {!Sm_util.Stats}; call {!reset} between measurement
-    windows, or install a {!set_sample_cap} reservoir bound, to keep memory
-    bounded over long runs. *)
+    windows to keep memory bounded over long runs. *)
 
 val set_enabled : bool -> unit
 val is_enabled : unit -> bool
-
-val set_sample_cap : int option -> unit
-(** Bound every histogram to at most [cap] retained samples.  Once a
-    histogram is full, further observations displace uniformly chosen
-    residents (reservoir sampling, algorithm R), so {!samples} stays a
-    uniform sample of the whole window and {!summary} an unbiased estimate;
-    {!observed_count} still reports the true observation count.  [None]
-    (the default) keeps every sample.
-    @raise Invalid_argument on [Some c] with [c < 1]. *)
-
-val sample_cap : unit -> int option
 
 (** {1 Counters} *)
 
@@ -57,10 +45,6 @@ val time : histogram -> (unit -> 'a) -> 'a
     enabled (the clock is not even read when disabled). *)
 
 val samples : histogram -> float list
-
-val observed_count : histogram -> int
-(** Observations recorded since the last {!reset}, including any dropped by
-    the {!set_sample_cap} reservoir. *)
 
 val summary : histogram -> Sm_util.Stats.summary option
 val percentile : histogram -> p:float -> float option

@@ -2,9 +2,9 @@
 
     A sink receives every event that passes the {!Verbosity} gate.  Sinks
     must be thread-safe: tasks on any domain emit directly.  The default is
-    {!null}; installing a real sink ({!Trace_jsonl.sink},
-    {!Trace_chrome.sink}, or a {!tee} of several) turns tracing on, subject
-    to the verbosity level. *)
+    {!null}; installing a real sink ({!Trace_jsonl.sink}, {!collecting},
+    or a {!tee} of several) turns tracing on, subject to the verbosity
+    level. *)
 
 type t =
   { emit : Event.t -> unit
@@ -22,7 +22,9 @@ val tee : t -> t -> t
 
 val collecting : unit -> t * (unit -> Event.t list)
 (** An in-memory sink plus a reader returning everything collected so far,
-    ordered by emission sequence number.  Used by tests. *)
+    ordered by emission sequence number — the one unbounded collector
+    (tests, and {!Trace_chrome} export in [bench --trace] and the tracing
+    example). *)
 
 (** {1 The installed sink} *)
 

@@ -19,6 +19,7 @@ module Span = Span
 module Json = Json
 module Trace_jsonl = Trace_jsonl
 module Trace_chrome = Trace_chrome
+module Doc_profile = Doc_profile
 module Trace_model = Trace_model
 module Trace_diff = Trace_diff
 module Trace_ctx = Trace_ctx

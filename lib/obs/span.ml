@@ -1,11 +1,3 @@
-let begin_ ?(level = Verbosity.Debug) ?(args = []) ~task ~task_id name =
-  if Verbosity.enabled level then
-    Sink.emit (Event.make ~task ~task_id ~args:(("name", Event.S name) :: args) Event.Phase_begin)
-
-let end_ ?(level = Verbosity.Debug) ?(args = []) ~task ~task_id name =
-  if Verbosity.enabled level then
-    Sink.emit (Event.make ~task ~task_id ~args:(("name", Event.S name) :: args) Event.Phase_end)
-
 let with_ ?(level = Verbosity.Debug) ?(args = []) ?hist ~task ~task_id name f =
   let traced = Verbosity.enabled level in
   let timed = match hist with Some _ -> Metrics.is_enabled () | None -> false in

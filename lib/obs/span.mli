@@ -16,20 +16,3 @@ val with_ :
     (default level [Debug]).  When neither tracing nor [?hist] timing is
     active this is one branch around [f].  [?args] decorate the begin event
     only.  The end event is emitted even when [f] raises. *)
-
-val begin_ :
-  ?level:Verbosity.level ->
-  ?args:(string * Event.arg) list ->
-  task:string ->
-  task_id:int ->
-  string ->
-  unit
-
-val end_ :
-  ?level:Verbosity.level ->
-  ?args:(string * Event.arg) list ->
-  task:string ->
-  task_id:int ->
-  string ->
-  unit
-(** Manual halves of {!with_}, for spans that cross scopes. *)

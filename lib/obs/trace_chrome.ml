@@ -1,16 +1,3 @@
-type recorder =
-  { lock : Mutex.t
-  ; events : Event.t Sm_util.Vec.t
-  }
-
-let recorder () = { lock = Mutex.create (); events = Sm_util.Vec.create () }
-
-let sink r = Sink.make (fun e -> Mutex.protect r.lock (fun () -> Sm_util.Vec.push r.events e))
-
-let events r =
-  Mutex.protect r.lock (fun () -> Sm_util.Vec.to_list r.events)
-  |> List.sort (fun (a : Event.t) b -> compare (a.ts_ns, a.seq) (b.ts_ns, b.seq))
-
 (* Which begin kind a given end kind closes. *)
 let opener = function
   | Event.Task_end -> Some Event.Task_start
@@ -47,8 +34,8 @@ let args_json (e : Event.t) =
 (* Pair begin/end events per thread id into Chrome "X" (complete) slices;
    everything unpaired becomes an instant.  The per-tid stack tolerates
    interleaved span kinds (an end closes the nearest matching begin). *)
-let to_json r =
-  let evs = events r in
+let to_json events =
+  let evs = List.sort (fun (a : Event.t) b -> compare (a.ts_ns, a.seq) (b.ts_ns, b.seq)) events in
   let t0 = match evs with [] -> 0 | e :: _ -> e.Event.ts_ns in
   let last_ts = List.fold_left (fun _ (e : Event.t) -> e.ts_ns) t0 evs in
   let us ts = float_of_int (ts - t0) /. 1000.0 in
@@ -127,8 +114,7 @@ let to_json r =
     ; ("displayTimeUnit", Json.String "ms")
     ]
 
-let write r oc = output_string oc (Json.to_string (to_json r))
-
-let write_file r path =
+let write_file events path =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write r oc)
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
+      output_string oc (Json.to_string (to_json events)))

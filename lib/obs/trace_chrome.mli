@@ -1,8 +1,8 @@
 (** Chrome [trace_event] export.
 
-    Record events with {!sink}, then {!write_file} a JSON object whose
-    [traceEvents] array loads directly into [chrome://tracing] or
-    {{:https://ui.perfetto.dev}Perfetto}.  Begin/end event pairs
+    Collect events with {!Sink.collecting}, then {!write_file} a JSON
+    object whose [traceEvents] array loads directly into [chrome://tracing]
+    or {{:https://ui.perfetto.dev}Perfetto}.  Begin/end event pairs
     ([Task_start]/[Task_end], [Merge_begin]/[Merge_end],
     [Sync_begin]/[Sync_end], [Phase_begin]/[Phase_end]) are matched per
     task id and emitted as complete ["X"] slices with derived durations;
@@ -10,18 +10,8 @@
     (with ["thread_name"] metadata naming each after its task), so a
     spawn/merge tree renders as one swimlane per task. *)
 
-type recorder
+val to_json : Event.t list -> Json.t
+(** The full trace document, [{"traceEvents": [...], ...}], for events in
+    any order: they are laid out by timestamp, then sequence number. *)
 
-val recorder : unit -> recorder
-
-val sink : recorder -> Sink.t
-(** Append every event to the recorder (thread-safe). *)
-
-val events : recorder -> Event.t list
-(** Everything recorded so far, in timestamp order. *)
-
-val to_json : recorder -> Json.t
-(** The full trace document: [{"traceEvents": [...], ...}]. *)
-
-val write : recorder -> out_channel -> unit
-val write_file : recorder -> string -> unit
+val write_file : Event.t list -> string -> unit

@@ -79,6 +79,9 @@ let file_sink path =
       close_out oc)
     inner.Sink.emit
 
+let lane_file name =
+  String.map (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' as c -> c | _ -> '_') name
+
 (* Per-lane routing: one JSONL file per task name under [dir], so a
    multi-component run (clients + shards in one process) leaves the same
    lane-per-file layout a true multi-process run does — ready for
@@ -87,16 +90,11 @@ let dir_sink ?(lane = fun (e : Event.t) -> e.Event.task) dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let lock = Mutex.create () in
   let files : (string, out_channel) Hashtbl.t = Hashtbl.create 8 in
-  let sanitize name =
-    String.map
-      (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' as c -> c | _ -> '_')
-      name
-  in
   let chan name =
     match Hashtbl.find_opt files name with
     | Some oc -> oc
     | None ->
-      let oc = open_out (Filename.concat dir (sanitize name ^ ".jsonl")) in
+      let oc = open_out (Filename.concat dir (lane_file name ^ ".jsonl")) in
       Hashtbl.replace files name oc;
       oc
   in

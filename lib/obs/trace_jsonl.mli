@@ -27,9 +27,14 @@ val sink : out_channel -> Sink.t
 val file_sink : string -> Sink.t
 (** {!sink} on a fresh file; closing the sink closes the file. *)
 
+val lane_file : string -> string
+(** A lane name made safe as a file-name stem: every byte outside
+    [[A-Za-z0-9_-]] becomes ['_'].  Shared by every writer of per-lane
+    files ({!dir_sink}, {!Flight_recorder.write_dir}, [sm-fuzz]). *)
+
 val dir_sink : ?lane:(Event.t -> string) -> string -> Sink.t
 (** Route each event to [dir/<lane e>.jsonl] (default lane: the emitting
-    task's name, sanitized), creating [dir] and lane files on demand — a
+    task's name, through {!lane_file}), creating [dir] and lane files on demand — a
     single-process run leaves the same lane-per-file layout a multi-process
     run does, ready for {!Trace_stitch.of_files}.  Closing the sink closes
     every lane file. *)

@@ -68,20 +68,9 @@ type task =
   ; mutable last_ts : int
   }
 
-(* Per-document conflict profile, fed by [Doc_merge] events: which documents
-   draw the transform storms and how well their journals compact. *)
-type doc_stat =
-  { doc : string
-  ; mutable d_merges : int
-  ; mutable d_ops : int
-  ; mutable d_transforms : int
-  ; mutable d_compact_in : int
-  ; mutable d_compact_out : int
-  }
-
 type t =
   { tasks : (int, task) Hashtbl.t
-  ; docs : (string, doc_stat) Hashtbl.t
+  ; docs : Doc_profile.table
   ; mutable order : int list  (* reverse first-appearance while building *)
   ; mutable events : int
   ; mutable t0 : int
@@ -107,7 +96,7 @@ type builder =
 let create_builder () =
   { model =
       { tasks = Hashtbl.create 64
-      ; docs = Hashtbl.create 16
+      ; docs = Doc_profile.create ()
       ; order = []
       ; events = 0
       ; t0 = max_int
@@ -281,20 +270,11 @@ let add_event b (e : Event.t) =
   | Event.Serve -> t.served <- t.served + 1
   | Event.Epoch_merge -> ()
   | Event.Doc_merge ->
-    let doc = Option.value ~default:"?" (str_arg "doc" e) in
-    let d =
-      match Hashtbl.find_opt m.docs doc with
-      | Some d -> d
-      | None ->
-        let d = { doc; d_merges = 0; d_ops = 0; d_transforms = 0; d_compact_in = 0; d_compact_out = 0 } in
-        Hashtbl.replace m.docs doc d;
-        d
-    in
-    d.d_merges <- d.d_merges + 1;
-    d.d_ops <- d.d_ops + Option.value ~default:0 (int_arg "ops" e);
-    d.d_transforms <- d.d_transforms + Option.value ~default:0 (int_arg "transforms" e);
-    d.d_compact_in <- d.d_compact_in + Option.value ~default:0 (int_arg "compact_in" e);
-    d.d_compact_out <- d.d_compact_out + Option.value ~default:0 (int_arg "compact_out" e));
+    let count name = Option.value ~default:0 (int_arg name e) in
+    Doc_profile.add m.docs
+      ~doc:(Option.value ~default:"?" (str_arg "doc" e))
+      ~ops:(count "ops") ~transforms:(count "transforms") ~compact_in:(count "compact_in")
+      ~compact_out:(count "compact_out"));
   t.last_ts <- max t.last_ts e.ts_ns
 
 let finish b =
@@ -358,14 +338,7 @@ let self_ns t = max 0 (span_ns t - blocked_ns t)
 
 let merge_records (t : task) = List.concat_map (fun s -> List.rev s.m_children) t.merges
 
-(* Hottest first: transform calls are the conflict cost the profiler is
-   hunting; ties break on ops then name so the table is deterministic. *)
-let doc_stats m =
-  Hashtbl.fold (fun _ d acc -> d :: acc) m.docs []
-  |> List.sort (fun a b ->
-         match compare b.d_transforms a.d_transforms with
-         | 0 -> ( match compare b.d_ops a.d_ops with 0 -> compare a.doc b.doc | c -> c)
-         | c -> c)
+let doc_profiles m = Doc_profile.hottest m.docs
 
 let main_root m =
   List.fold_left

@@ -88,18 +88,6 @@ type task =
   ; mutable last_ts : int
   }
 
-(** Per-document conflict profile, accumulated from {!Event.Doc_merge}
-    events across every task in the trace — the conflict profiler's
-    "hot documents" input. *)
-type doc_stat =
-  { doc : string  (** document wire name *)
-  ; mutable d_merges : int  (** epochs that touched it *)
-  ; mutable d_ops : int  (** journal ops folded in *)
-  ; mutable d_transforms : int  (** OT transform calls those folds took *)
-  ; mutable d_compact_in : int
-  ; mutable d_compact_out : int
-  }
-
 type t
 
 (** {1 Construction} *)
@@ -153,10 +141,11 @@ val self_ns : task -> int
 val merge_records : task -> merge_record list
 (** Every child fold the task performed, chronological. *)
 
-val doc_stats : t -> doc_stat list
-(** Per-document conflict profiles, hottest (most transform calls) first;
-    ties break on ops then name.  Empty unless the trace carries
-    [Doc_merge] events (shard service at Debug verbosity). *)
+val doc_profiles : t -> Doc_profile.t list
+(** Per-document conflict profiles from {!Event.Doc_merge} events across
+    every task, hottest first ({!Doc_profile.compare_hottest}).  Empty
+    unless the trace carries [Doc_merge] events (shard service at Debug
+    verbosity). *)
 
 (** {1 Printing} *)
 

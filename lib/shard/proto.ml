@@ -62,7 +62,6 @@ let payload_codec =
       | t -> raise (C.Decode_error (Printf.sprintf "Proto.payload: unknown tag %d" t)))
 
 let revs_codec = C.list (C.pair C.int C.int)
-let ops_codec = C.list (C.pair C.int C.string)
 
 let c2s_codec =
   C.tagged
@@ -78,7 +77,7 @@ let c2s_codec =
         C.W.int buf req;
         C.W.int buf eid;
         C.W.value revs_codec buf base;
-        C.W.value ops_codec buf ops
+        C.W.value Sm_dist.Wire.entries_codec buf ops
       | Poll { session; req } ->
         C.W.int buf session;
         C.W.int buf req
@@ -96,7 +95,7 @@ let c2s_codec =
         let req = C.R.int r in
         let eid = C.R.int r in
         let base = C.R.value revs_codec r in
-        let ops = C.R.value ops_codec r in
+        let ops = C.R.value Sm_dist.Wire.entries_codec r in
         Edit { session; req; eid; base; ops }
       | 3 -> Bye { session = C.R.int r }
       | 4 ->

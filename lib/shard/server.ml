@@ -32,16 +32,6 @@ type mode =
   | `Snapshot
   ]
 
-(* Per-document conflict profile, the live counterpart of the trace-side
-   [Doc_merge] accounting. *)
-type doc_stat =
-  { mutable d_merges : int
-  ; mutable d_ops : int
-  ; mutable d_transforms : int
-  ; mutable d_compact_in : int
-  ; mutable d_compact_out : int
-  }
-
 type session =
   { sid : int
   ; client : string
@@ -82,7 +72,7 @@ type t =
   ; mutable replays : int  (* reply-cache hits: duplicate requests answered from cache *)
   ; mutable rejects : int  (* undecodable/incompatible frames dropped *)
   ; mutable nacks : int
-  ; docs : (string, doc_stat) Hashtbl.t
+  ; docs : Obs.Doc_profile.table  (* the live conflict profile *)
   ; recorder : Obs.Flight_recorder.t
   ; obs_task : string
   ; obs_tid : int
@@ -112,7 +102,7 @@ let create ~reg ~shard_id ~mode ~epoch_ticks ~init =
   ; replays = 0
   ; rejects = 0
   ; nacks = 0
-  ; docs = Hashtbl.create 16
+  ; docs = Obs.Doc_profile.create ()
   ; recorder = Obs.Flight_recorder.create (obs_shard_name shard_id)
   ; obs_task = obs_shard_name shard_id
   ; obs_tid = obs_shard_tid shard_id
@@ -124,6 +114,16 @@ let create ~reg ~shard_id ~mode ~epoch_ticks ~init =
 let fr t kind args =
   if Obs.Flight_recorder.enabled () then
     Obs.Flight_recorder.record t.recorder (E.make ~task:t.obs_task ~task_id:t.obs_tid ~args kind)
+
+(* An epoch bracket goes to the flight ring and, at Debug, to the sink: one
+   event serves both. *)
+let fr_emit t kind args =
+  let traced = Obs.on Obs.Debug in
+  if traced || Obs.Flight_recorder.enabled () then begin
+    let e = E.make ~task:t.obs_task ~task_id:t.obs_tid ~args kind in
+    Obs.Flight_recorder.record t.recorder e;
+    if traced then Obs.emit e
+  end
 
 let listener t = t.listener
 let workspace t = t.ws
@@ -140,12 +140,7 @@ let nacks_sent t = t.nacks
 let recorder t = t.recorder
 let shard_id t = t.shard_id
 
-let doc_stats t =
-  Hashtbl.fold (fun doc d acc -> (doc, d) :: acc) t.docs []
-  |> List.sort (fun (da, a) (db, b) ->
-         match compare b.d_transforms a.d_transforms with
-         | 0 -> ( match compare b.d_ops a.d_ops with 0 -> compare da db | c -> c)
-         | c -> c)
+let doc_profiles t = Obs.Doc_profile.hottest t.docs
 
 (* The worst catch-up debt any session carries: revisions at the head that
    the session has not been shipped yet, summed across documents.  What
@@ -375,9 +370,7 @@ let flush_epoch t =
        clearing per epoch just bounds the table to one epoch's windows. *)
     Hashtbl.reset t.delta_memo;
     let n = List.length edits in
-    fr t E.Epoch_begin [ ("edits", E.I n) ];
-    if Obs.on Obs.Debug then
-      Obs.emit (E.make ~task:t.obs_task ~task_id:t.obs_tid ~args:[ ("edits", E.I n) ] E.Epoch_begin);
+    fr_emit t E.Epoch_begin [ ("edits", E.I n) ];
     let total_ops = ref 0 in
     (* Merge pass first, replies second: every participant's ack reflects
        the WHOLE epoch, not the prefix merged before its own batch. *)
@@ -405,21 +398,7 @@ let flush_epoch t =
                   let compact_in = Obs.Metrics.value m_ot_compact_in - ci0 in
                   let compact_out = Obs.Metrics.value m_ot_compact_out - co0 in
                   let doc = Registry.wire_name t.reg id in
-                  let d =
-                    match Hashtbl.find_opt t.docs doc with
-                    | Some d -> d
-                    | None ->
-                      let d =
-                        { d_merges = 0; d_ops = 0; d_transforms = 0; d_compact_in = 0; d_compact_out = 0 }
-                      in
-                      Hashtbl.replace t.docs doc d;
-                      d
-                  in
-                  d.d_merges <- d.d_merges + 1;
-                  d.d_ops <- d.d_ops + merged;
-                  d.d_transforms <- d.d_transforms + transforms;
-                  d.d_compact_in <- d.d_compact_in + compact_in;
-                  d.d_compact_out <- d.d_compact_out + compact_out;
+                  Obs.Doc_profile.add t.docs ~doc ~ops:merged ~transforms ~compact_in ~compact_out;
                   if Obs.on Obs.Debug then
                     Obs.emit
                       (E.make ~task:t.obs_task ~task_id:t.obs_tid
@@ -463,12 +442,7 @@ let flush_epoch t =
     Obs.Metrics.incr m_epochs;
     Obs.Metrics.add m_epoch_edits n;
     Obs.Metrics.observe h_epoch_size (float_of_int n);
-    fr t E.Epoch_end [ ("edits", E.I n); ("ops", E.I !total_ops) ];
-    if Obs.on Obs.Debug then
-      Obs.emit
-        (E.make ~task:t.obs_task ~task_id:t.obs_tid
-           ~args:[ ("edits", E.I n); ("ops", E.I !total_ops) ]
-           E.Epoch_end)
+    fr_emit t E.Epoch_end [ ("edits", E.I n); ("ops", E.I !total_ops) ]
 
 (* --- tick ------------------------------------------------------------------- *)
 

@@ -24,19 +24,6 @@ type mode =
   | `Snapshot  (** replies ship full states — the byte-accounting baseline *)
   ]
 
-(** Per-document conflict profile: how many epoch merges touched the
-    document, the operations and OT transform calls they took, and the
-    journal-compaction in/out op counts — the live feed of the conflict
-    profiler ([sm-shard stats] hot-documents table).  Transform/compaction
-    deltas are only recorded while {!Sm_obs.Metrics} is enabled. *)
-type doc_stat =
-  { mutable d_merges : int
-  ; mutable d_ops : int
-  ; mutable d_transforms : int
-  ; mutable d_compact_in : int
-  ; mutable d_compact_out : int
-  }
-
 val create :
   reg:Sm_dist.Registry.t ->
   shard_id:int ->
@@ -83,8 +70,11 @@ val max_cursor_lag : t -> int
 (** The worst catch-up debt any live session carries: head revisions not
     yet shipped to it, summed across documents. *)
 
-val doc_stats : t -> (string * doc_stat) list
-(** Hottest documents first (most transform calls, then most ops). *)
+val doc_profiles : t -> Sm_obs.Doc_profile.t list
+(** The shard's per-document conflict profile, hottest first — the live
+    feed of the conflict profiler ([sm-shard stats] hot-documents table).
+    Transform/compaction counts are only recorded while {!Sm_obs.Metrics}
+    is enabled. *)
 
 val recorder : t -> Sm_obs.Flight_recorder.t
 (** The shard's flight ring (registered under {!obs_shard_name}); every

@@ -40,41 +40,16 @@ let rows servers = List.map row_of_server servers
 (* --- hot documents (conflict profiler, aggregated over shards) -------------- *)
 
 let hot_docs ?(limit = 10) servers =
-  let acc : (string, Server.doc_stat) Hashtbl.t = Hashtbl.create 16 in
+  let acc = Obs.Doc_profile.create () in
   List.iter
     (fun s ->
       List.iter
-        (fun (doc, (d : Server.doc_stat)) ->
-          match Hashtbl.find_opt acc doc with
-          | Some t ->
-            t.Server.d_merges <- t.Server.d_merges + d.Server.d_merges;
-            t.Server.d_ops <- t.Server.d_ops + d.Server.d_ops;
-            t.Server.d_transforms <- t.Server.d_transforms + d.Server.d_transforms;
-            t.Server.d_compact_in <- t.Server.d_compact_in + d.Server.d_compact_in;
-            t.Server.d_compact_out <- t.Server.d_compact_out + d.Server.d_compact_out
-          | None ->
-            Hashtbl.replace acc doc
-              { Server.d_merges = d.Server.d_merges
-              ; d_ops = d.Server.d_ops
-              ; d_transforms = d.Server.d_transforms
-              ; d_compact_in = d.Server.d_compact_in
-              ; d_compact_out = d.Server.d_compact_out
-              })
-        (Server.doc_stats s))
+        (fun (d : Obs.Doc_profile.t) ->
+          Obs.Doc_profile.add acc ~merges:d.merges ~doc:d.doc ~ops:d.ops ~transforms:d.transforms
+            ~compact_in:d.compact_in ~compact_out:d.compact_out)
+        (Server.doc_profiles s))
     servers;
-  let all = Hashtbl.fold (fun doc d l -> (doc, d) :: l) acc [] in
-  let sorted =
-    List.sort
-      (fun (n1, (a : Server.doc_stat)) (n2, (b : Server.doc_stat)) ->
-        match compare b.Server.d_transforms a.Server.d_transforms with
-        | 0 -> (
-          match compare b.Server.d_ops a.Server.d_ops with
-          | 0 -> String.compare n1 n2
-          | c -> c)
-        | c -> c)
-      all
-  in
-  List.filteri (fun i _ -> i < limit) sorted
+  Obs.Doc_profile.hottest ~limit acc
 
 (* --- text report (the sm-top table) ----------------------------------------- *)
 
@@ -94,24 +69,6 @@ let pp_rows ppf rows =
         (ns_str r.merge_p50_ns) (ns_str r.merge_p95_ns))
     rows
 
-let pp_hot_docs ppf docs =
-  match docs with
-  | [] -> Format.fprintf ppf "(no epoch merges profiled)@."
-  | _ ->
-    Format.fprintf ppf "%-24s %6s %6s %6s %12s %6s@." "document" "merges" "ops" "xform" "compact"
-      "ratio";
-    List.iter
-      (fun (doc, (d : Server.doc_stat)) ->
-        let ratio =
-          if d.Server.d_compact_in = 0 then "-"
-          else
-            Printf.sprintf "%.2f"
-              (float_of_int d.Server.d_compact_out /. float_of_int d.Server.d_compact_in)
-        in
-        Format.fprintf ppf "%-24s %6d %6d %6d %6d->%-5d %6s@." doc d.Server.d_merges
-          d.Server.d_ops d.Server.d_transforms d.Server.d_compact_in d.Server.d_compact_out ratio)
-      docs
-
 (* Workspace sharing counter (process-global): how many cells hit their
    copy-on-first-write. *)
 let pp_ws ppf () =
@@ -128,7 +85,7 @@ let report ?limit servers =
   let ppf = Format.formatter_of_buffer buf in
   pp_rows ppf (rows servers);
   Format.fprintf ppf "@.";
-  pp_hot_docs ppf (hot_docs ?limit servers);
+  Obs.Doc_profile.pp ppf (hot_docs ?limit servers);
   Format.fprintf ppf "@.";
   pp_ws ppf ();
   pp_net ppf (Netpipe.stats ());

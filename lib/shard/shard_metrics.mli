@@ -27,14 +27,14 @@ type row =
 val row_of_server : Server.t -> row
 val rows : Server.t list -> row list
 
-val hot_docs : ?limit:int -> Server.t list -> (string * Server.doc_stat) list
-(** The conflict profiler's table: per-document stats summed across shards
-    (documents are sharded disjointly, so at most one shard contributes per
-    document), hottest first — most transform calls, then most ops, then
-    name.  At most [limit] (default 10) rows. *)
+val hot_docs : ?limit:int -> Server.t list -> Sm_obs.Doc_profile.t list
+(** The conflict profiler's table: per-document profiles summed across
+    shards (documents are sharded disjointly, so at most one shard
+    contributes per document), hottest first
+    ({!Sm_obs.Doc_profile.compare_hottest}), printed by
+    {!Sm_obs.Doc_profile.pp}.  At most [limit] (default 10) rows. *)
 
 val pp_rows : Format.formatter -> row list -> unit
-val pp_hot_docs : Format.formatter -> (string * Server.doc_stat) list -> unit
 val pp_net : Format.formatter -> Sm_sim.Netpipe.stats -> unit
 
 val report : ?limit:int -> Server.t list -> string

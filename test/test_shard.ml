@@ -340,16 +340,16 @@ let obs_profile =
 (* Run [f] with a Debug-level collecting sink installed, returning its
    result plus the events in emission order. *)
 let with_debug_sink f =
-  let events = ref [] in
+  let sink, collected = Obs.Sink.collecting () in
   Obs.set_level Obs.Debug;
-  Obs.set_sink (Obs.Sink.make (fun e -> events := e :: !events));
+  Obs.set_sink sink;
   Fun.protect
     ~finally:(fun () ->
       Obs.reset_sink ();
       Obs.set_level Obs.Off)
     (fun () ->
       let r = f () in
-      (r, List.rev !events))
+      (r, collected ()))
 
 (* Lane = emitting task, as [Trace_jsonl.dir_sink] would split files;
    sorted by name so lane order never depends on emission interleaving. *)
@@ -450,7 +450,9 @@ let test_hot_docs_and_stats_report () =
   Obs.Metrics.reset ();
   Obs.Metrics.set_enabled true;
   let last = ref None in
-  let r = Load.run ~docs ~on_tick:(fun _ svc -> last := Some svc) obs_profile in
+  let r, events =
+    with_debug_sink (fun () -> Load.run ~docs ~on_tick:(fun _ svc -> last := Some svc) obs_profile)
+  in
   checkb "converged" true r.Load.converged;
   match !last with
   | None -> Alcotest.fail "on_tick never fired"
@@ -461,10 +463,14 @@ let test_hot_docs_and_stats_report () =
       (List.fold_left (fun n row -> n + row.Shard_metrics.edits) 0 rows > 0);
     checkb "merge latency histograms populated" true
       (List.exists (fun row -> row.Shard_metrics.merge_p50_ns <> None) rows);
-    let hot = Shard_metrics.hot_docs (Service.servers svc) in
+    (* no limit short of the document count: the whole profile *)
+    let hot = Shard_metrics.hot_docs ~limit:max_int (Service.servers svc) in
     checkb "conflict profiler attributes documents" true (hot <> []);
-    checkb "hot docs saw merges" true
-      (List.for_all (fun (_, (d : Sm_shard.Server.doc_stat)) -> d.Sm_shard.Server.d_merges > 0) hot);
+    checkb "hot docs saw merges" true (List.for_all (fun (d : Obs.Doc_profile.t) -> d.merges > 0) hot);
+    (* Live and trace-side profiles are built by the same Doc_profile.add:
+       the Doc_merge events rebuild the live table exactly, order included. *)
+    let traced = Obs.Trace_model.doc_profiles (Obs.Trace_model.of_events events) in
+    checkb "trace rebuilds the live profile" true (hot = traced);
     let report = Service.stats_report svc in
     let contains needle hay =
       let n = String.length needle and h = String.length hay in

@@ -1,7 +1,7 @@
 (* The trace-analysis subsystem behind the sm-trace CLI: JSONL decode
    error paths, non-finite float round-trips, streaming folds, the trace
    model, critical-path tiling, structural diffing, the Prometheus
-   exposition, and the bounded-histogram reservoir. *)
+   exposition, and histogram retention. *)
 
 module Obs = Sm_obs
 module E = Sm_obs.Event
@@ -16,7 +16,6 @@ let with_obs f =
       Obs.set_level Obs.Off;
       Obs.reset_sink ();
       Obs.Metrics.set_enabled false;
-      Obs.Metrics.set_sample_cap None;
       Obs.Metrics.reset ())
     f
 
@@ -387,45 +386,16 @@ let expo_reporter () =
       | _ -> Alcotest.fail "non-positive period accepted"
       | exception Invalid_argument _ -> ())
 
-(* --- histogram reservoir --------------------------------------------------- *)
-
-let metrics_sample_cap () =
-  with_obs (fun () ->
-      Obs.Metrics.set_enabled true;
-      Obs.Metrics.set_sample_cap (Some 64);
-      Alcotest.(check (option int)) "cap readable" (Some 64) (Obs.Metrics.sample_cap ());
-      let h = Obs.Metrics.histogram "test.reservoir" in
-      for i = 1 to 10_000 do
-        Obs.Metrics.observe h (float_of_int i)
-      done;
-      check_int "retained at most cap" 64 (List.length (Obs.Metrics.samples h));
-      check_int "true count survives" 10_000 (Obs.Metrics.observed_count h);
-      (* Retained samples are a subset of what was observed. *)
-      List.iter
-        (fun s -> check_bool "sample from the window" (s >= 1.0 && s <= 10_000.0))
-        (Obs.Metrics.samples h);
-      (* A reservoir over 1..10000 should not be the first 64 observations:
-         its mean sits near the window mean, far above 32.5. *)
-      let samples = Obs.Metrics.samples h in
-      let mean = List.fold_left ( +. ) 0.0 samples /. float_of_int (List.length samples) in
-      check_bool "reservoir displaces old residents" (mean > 1_000.0);
-      check_bool "summary still works" (Obs.Metrics.summary h <> None);
-      (match Obs.Metrics.set_sample_cap (Some 0) with
-      | () -> Alcotest.fail "cap of 0 accepted"
-      | exception Invalid_argument _ -> ());
-      Obs.Metrics.reset ();
-      check_int "reset zeroes observed_count" 0 (Obs.Metrics.observed_count h))
+(* --- histograms ------------------------------------------------------------- *)
 
 let metrics_uncapped_keeps_all () =
   with_obs (fun () ->
       Obs.Metrics.set_enabled true;
-      Obs.Metrics.set_sample_cap None;
       let h = Obs.Metrics.histogram "test.uncapped" in
       for i = 1 to 500 do
         Obs.Metrics.observe h (float_of_int i)
       done;
-      check_int "keeps every sample" 500 (List.length (Obs.Metrics.samples h));
-      check_int "count matches" 500 (Obs.Metrics.observed_count h))
+      check_int "keeps every sample" 500 (List.length (Obs.Metrics.samples h)))
 
 let suite =
   [ Alcotest.test_case "float_repr: finite" `Quick float_repr_finite
@@ -448,6 +418,5 @@ let suite =
   ; Alcotest.test_case "expo: render format" `Quick expo_render
   ; Alcotest.test_case "expo: live registry" `Quick expo_live_registry
   ; Alcotest.test_case "expo: periodic reporter" `Quick expo_reporter
-  ; Alcotest.test_case "metrics: reservoir cap" `Quick metrics_sample_cap
   ; Alcotest.test_case "metrics: uncapped keeps all" `Quick metrics_uncapped_keeps_all
   ]
