@@ -9,21 +9,8 @@
 module L = Sm_ot.Op_list
 module Side = Sm_ot.Side
 
-module Str_elt = struct
-  type t = string
-
-  let equal = String.equal
-  let compare = String.compare
-  let pp ppf s = Format.fprintf ppf "%S" s
-end
-
-module Int_elt = struct
-  type t = int
-
-  let equal = Int.equal
-  let compare = Int.compare
-  let pp = Format.pp_print_int
-end
+module Str_elt = Sm_ot.Op_sig.String_elt
+module Int_elt = Sm_ot.Op_sig.Int_elt
 
 (* sizes 0 .. depth+1 *)
 let sizes ~depth = List.init (max 1 depth + 2) Fun.id

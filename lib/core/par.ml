@@ -22,10 +22,11 @@ let ranges n chunks =
   in
   if n = 0 then [] else go 0 0 []
 
-(* Core fork/join: fill [slots] (one owner per index) with chunked children,
-   join deterministically, surface the lowest-index failure. *)
-let run_chunks ?(chunks = 8) ctx n ~(compute : int -> unit) =
-  par_span ctx "par.chunks" ~items:n @@ fun () ->
+(* Core fork/join: [compute chunk i] for every index, one child per chunk
+   (each owns its chunk's slots), joined deterministically, the lowest-index
+   failure re-raised. *)
+let run_chunks ?(chunks = 8) ~span ctx n ~(compute : int -> int -> unit) =
+  par_span ctx span ~items:n @@ fun () ->
   let failures : (int * exn) option array = Array.make (max 1 chunks) None in
   let rs = ranges n chunks in
   Sm_obs.Metrics.add m_chunk_tasks (List.length rs);
@@ -35,7 +36,7 @@ let run_chunks ?(chunks = 8) ctx n ~(compute : int -> unit) =
         Runtime.spawn ctx (fun _child ->
             let rec go i =
               if i < start + len then
-                match compute i with
+                match compute chunk_idx i with
                 | () -> go (i + 1)
                 | exception e -> failures.(chunk_idx) <- Some (i, e)
             in
@@ -49,48 +50,28 @@ let run_chunks ?(chunks = 8) ctx n ~(compute : int -> unit) =
       | None -> ())
     failures
 
+let tabulate ?chunks ctx n f =
+  if n < 0 then invalid_arg "Par.tabulate: negative length";
+  let out = Array.make n None in
+  run_chunks ?chunks ~span:"par.chunks" ctx n ~compute:(fun _ i -> out.(i) <- Some (f i));
+  List.init n (fun i -> match out.(i) with Some v -> v | None -> assert false)
+
 let mapi ?chunks ctx f xs =
   let input = Array.of_list xs in
-  let n = Array.length input in
-  let out = Array.make n None in
-  run_chunks ?chunks ctx n ~compute:(fun i -> out.(i) <- Some (f i input.(i)));
-  Array.to_list out
-  |> List.map (function Some v -> v | None -> assert false (* every slot written or raised *))
+  tabulate ?chunks ctx (Array.length input) (fun i -> f i input.(i))
 
 let map ?chunks ctx f xs = mapi ?chunks ctx (fun _ x -> f x) xs
 let iter ?chunks ctx f xs = ignore (map ?chunks ctx f xs)
 
+(* Each chunk folds its own partial left to right; the partials are then
+   combined in chunk order. *)
 let reduce ?(chunks = 8) ctx ~map:f ~combine ~init xs =
   let input = Array.of_list xs in
-  let n = Array.length input in
-  par_span ctx "par.reduce" ~items:n @@ fun () ->
-  let rs = ranges n chunks in
-  let partials : 'b option array = Array.make (max 1 (List.length rs)) None in
-  let failures : (int * exn) option array = Array.make (max 1 (List.length rs)) None in
-  let handles =
-    List.mapi
-      (fun chunk_idx (start, len) ->
-        Runtime.spawn ctx (fun _child ->
-            let acc = ref None in
-            let rec go i =
-              if i = start + len then partials.(chunk_idx) <- !acc
-              else
-                match f input.(i) with
-                | v ->
-                  acc := Some (match !acc with None -> v | Some a -> combine a v);
-                  go (i + 1)
-                | exception e -> failures.(chunk_idx) <- Some (i, e)
-            in
-            go start))
-      rs
-  in
-  Runtime.merge_all_from_set ctx handles;
-  Array.iter
-    (function Some (index, e) -> raise (Worker_failure (index, e)) | None -> ())
-    failures;
-  Array.fold_left
-    (fun acc -> function Some v -> combine acc v | None -> acc)
-    init partials
+  let partials = Array.make (max 1 chunks) None in
+  run_chunks ~chunks ~span:"par.reduce" ctx (Array.length input) ~compute:(fun chunk i ->
+      let v = f input.(i) in
+      partials.(chunk) <- Some (match partials.(chunk) with None -> v | Some a -> combine a v));
+  Array.fold_left (fun acc -> function Some v -> combine acc v | None -> acc) init partials
 
 let both ctx fa fb =
   par_span ctx "par.both" ~items:2 @@ fun () ->
@@ -103,9 +84,3 @@ let both ctx fa fb =
   | None, _, Some e, _ -> raise (Worker_failure (0, e))
   | _, None, _, Some e -> raise (Worker_failure (1, e))
   | _ -> assert false
-
-let tabulate ?chunks ctx n f =
-  if n < 0 then invalid_arg "Par.tabulate: negative length";
-  let out = Array.make (max 1 n) None in
-  run_chunks ?chunks ctx n ~compute:(fun i -> out.(i) <- Some (f i));
-  List.init n (fun i -> match out.(i) with Some v -> v | None -> assert false)

@@ -120,23 +120,31 @@ let ready c = match c.state with Sync_waiting | Completed | Failed -> true | Run
 
 (* --- task creation -------------------------------------------------------- *)
 
+(* Every task, root or child.  Roots draw from the same process-wide id
+   counter as children so that task ids stay unique across sequential
+   [run]s — trace consumers (Trace_model) key tasks by id, and a recycled
+   root id would fold separate runs into one task. *)
+let make_task rt ~name ~parent ~ws ~base =
+  { id = Atomic.fetch_and_add next_task_id 1
+  ; name
+  ; parent
+  ; rt
+  ; ws
+  ; base
+  ; state = Running
+  ; children = []
+  ; child_counter = 0
+  ; abort_requested = false
+  ; failure = None
+  ; sync_outcome = None
+  }
+
 let make_child ?(obs_kind = E.Spawn) parent ~ws ~base =
   let index = parent.child_counter in
   parent.child_counter <- index + 1;
   let child =
-    { id = Atomic.fetch_and_add next_task_id 1
-    ; name = Printf.sprintf "%s/%d" parent.name index
-    ; parent = Some parent
-    ; rt = parent.rt
-    ; ws
-    ; base
-    ; state = Running
-    ; children = []
-    ; child_counter = 0
-    ; abort_requested = false
-    ; failure = None
-    ; sync_outcome = None
-    }
+    make_task parent.rt ~name:(Printf.sprintf "%s/%d" parent.name index) ~parent:(Some parent) ~ws
+      ~base
   in
   parent.children <- parent.children @ [ child ];
   parent.rt.sched.broadcast ();
@@ -269,126 +277,80 @@ let check_child ctx h =
   | Some p when p == ctx -> ()
   | Some _ | None -> raise (Not_a_child h.name)
 
-let merge_all ?(validate = default_validate) ctx =
-  instrumented_merge ctx "merge_all" (fun () ->
-      with_lock ctx.rt (fun () ->
-          let rec wait () =
-            if List.for_all ready ctx.children then ()
-            else begin
-              ctx.rt.sched.wait ();
-              wait ()
-            end
-          in
-          wait ();
-          List.iter (merge_child_locked ctx ~validate) ctx.children;
-          truncate_locked ctx))
-
-(* The replayed variant of a merge_any-style wait: hold out for the child
-   the trace names.  If every child retires without it appearing the trace
-   has diverged from the program; fall back to [None]. *)
-let merge_target_locked ctx ~validate ~candidates target =
-  let rec wait () =
-    match candidates () with
-    | [] -> None
-    | children -> (
-      match List.find_opt (fun c -> String.equal c.name target && ready c) children with
-      | Some h ->
-        merge_child_locked ctx ~validate h;
-        truncate_locked ctx;
-        Some h
-      | None ->
-        ctx.rt.sched.wait ();
-        wait ())
-  in
-  wait ()
-
-let record_choice ctx h =
-  match ctx.rt.record with
-  | Some trace -> Trace.record trace ~caller:ctx.name ~child:h.name
-  | None -> ()
-
-let replayed_choice ctx =
-  match ctx.rt.replay with Some trace -> Trace.take trace ~caller:ctx.name | None -> None
-
 (* Physical dedup: passing the same handle twice must not merge it twice. *)
 let dedup handles =
   List.fold_left (fun acc h -> if List.memq h acc then acc else h :: acc) [] handles |> List.rev
 
+(* A set variant's candidates: the given children, each once, until retired. *)
+let live_set ctx handles =
+  List.iter (check_child ctx) handles;
+  let handles = dedup handles in
+  fun () -> List.filter (fun h -> h.state <> Retired) handles
+
+(* The deterministic merges' wait: until every candidate is ready, then merge
+   them all in list order.  [candidates] is re-read on every wake-up, so
+   children cloned into existence meanwhile join the batch. *)
+let merge_every ctx ~validate candidates =
+  with_lock ctx.rt (fun () ->
+      let rec wait () =
+        let cs = candidates () in
+        if List.for_all ready cs then cs
+        else begin
+          ctx.rt.sched.wait ();
+          wait ()
+        end
+      in
+      List.iter (merge_child_locked ctx ~validate) (wait ());
+      truncate_locked ctx)
+
+(* The non-deterministic merges' wait: until a wanted candidate is ready, then
+   merge just that one and record the choice.  Without a replay trace every
+   ready candidate is wanted; with one, only the ready child the trace names.
+   No candidates at all gives [None] at once (never block on nothing,
+   Section IV.B).  Candidates are re-read on every wake-up (the accept-loop
+   pattern: clones appearing while the parent waits must be seen). *)
+let merge_first ctx ~validate candidates =
+  with_lock ctx.rt (fun () ->
+      let wanted =
+        match Option.bind ctx.rt.replay (Trace.take ~caller:ctx.name) with
+        | Some target -> fun c -> String.equal c.name target && ready c
+        | None -> ready
+      in
+      let rec wait () =
+        match candidates () with
+        | [] -> None
+        | cs -> (
+          match List.find_opt wanted cs with
+          | Some h ->
+            merge_child_locked ctx ~validate h;
+            truncate_locked ctx;
+            Option.iter (fun t -> Trace.record t ~caller:ctx.name ~child:h.name) ctx.rt.record;
+            Some h
+          | None ->
+            ctx.rt.sched.wait ();
+            wait ())
+      in
+      wait ())
+
+let nondet_merge ctx prim =
+  if Sanitizer_hook.active () then
+    Sanitizer_hook.emit (Sanitizer_hook.Nondet_merge { task = ctx.name; prim })
+
+let merge_all ?(validate = default_validate) ctx =
+  instrumented_merge ctx "merge_all" (fun () -> merge_every ctx ~validate (fun () -> ctx.children))
+
 let merge_all_from_set ?(validate = default_validate) ctx handles =
   instrumented_merge ctx "merge_all_from_set" (fun () ->
-      with_lock ctx.rt (fun () ->
-          List.iter (check_child ctx) handles;
-          let live = List.filter (fun h -> h.state <> Retired) (dedup handles) in
-          let rec wait () =
-            if List.for_all ready live then ()
-            else begin
-              ctx.rt.sched.wait ();
-              wait ()
-            end
-          in
-          wait ();
-          List.iter (merge_child_locked ctx ~validate) live;
-          truncate_locked ctx))
-
-let merge_any_from_set ?(validate = default_validate) ctx handles =
-  if Sanitizer_hook.active () then
-    Sanitizer_hook.emit
-      (Sanitizer_hook.Nondet_merge { task = ctx.name; prim = "merge_any_from_set" });
-  instrumented_merge ctx "merge_any_from_set" @@ fun () ->
-  with_lock ctx.rt (fun () ->
-      List.iter (check_child ctx) handles;
-      let handles = dedup handles in
-      let live () = List.filter (fun h -> h.state <> Retired) handles in
-      match replayed_choice ctx with
-      | Some target ->
-        let result = merge_target_locked ctx ~validate ~candidates:live target in
-        (match result with Some h -> record_choice ctx h | None -> ());
-        result
-      | None ->
-        let rec wait () =
-          match live () with
-          | [] -> None
-          | live -> (
-            match List.find_opt ready live with
-            | Some h ->
-              merge_child_locked ctx ~validate h;
-              truncate_locked ctx;
-              record_choice ctx h;
-              Some h
-            | None ->
-              ctx.rt.sched.wait ();
-              wait ())
-        in
-        wait ())
+      merge_every ctx ~validate (live_set ctx handles))
 
 let merge_any ?(validate = default_validate) ctx =
-  if Sanitizer_hook.active () then
-    Sanitizer_hook.emit (Sanitizer_hook.Nondet_merge { task = ctx.name; prim = "merge_any" });
-  instrumented_merge ctx "merge_any" @@ fun () ->
-  with_lock ctx.rt (fun () ->
-      match replayed_choice ctx with
-      | Some target ->
-        let result = merge_target_locked ctx ~validate ~candidates:(fun () -> ctx.children) target in
-        (match result with Some h -> record_choice ctx h | None -> ());
-        result
-      | None ->
-        (* Rescan [ctx.children] on every wake-up: children cloned into
-           existence while we wait (the accept-loop pattern) must be seen. *)
-        let rec wait () =
-          match ctx.children with
-          | [] -> None
-          | children -> (
-            match List.find_opt ready children with
-            | Some h ->
-              merge_child_locked ctx ~validate h;
-              truncate_locked ctx;
-              record_choice ctx h;
-              Some h
-            | None ->
-              ctx.rt.sched.wait ();
-              wait ())
-        in
-        wait ())
+  nondet_merge ctx "merge_any";
+  instrumented_merge ctx "merge_any" (fun () -> merge_first ctx ~validate (fun () -> ctx.children))
+
+let merge_any_from_set ?(validate = default_validate) ctx handles =
+  nondet_merge ctx "merge_any_from_set";
+  instrumented_merge ctx "merge_any_from_set" (fun () ->
+      merge_first ctx ~validate (live_set ctx handles))
 
 (* --- child-side primitives ------------------------------------------------ *)
 
@@ -431,22 +393,6 @@ let sync ctx =
          E.Sync_end);
   outcome
 
-(* On failure a task abandons its children: abort them all and keep merging
-   (discarding) until each completes.  A sync-looping child sees
-   [Error Aborted] and is expected to exit; one that never completes keeps
-   its parent alive — the paper's position is that abort must not kill
-   threads forcefully. *)
-let drain_discarding ctx =
-  with_lock ctx.rt (fun () -> List.iter (fun c -> c.abort_requested <- true) ctx.children);
-  let rec drain () =
-    let remaining = with_lock ctx.rt (fun () -> ctx.children <> []) in
-    if remaining then begin
-      merge_all ctx;
-      drain ()
-    end
-  in
-  drain ()
-
 (* The implicit MergeAll a finishing task owes its children (Section II.D):
    merge repeatedly until none remain — children that keep syncing keep the
    task alive, exactly as a parent looping MergeAll would. *)
@@ -456,38 +402,48 @@ let rec merge_until_no_children ctx =
     merge_until_no_children ctx
   end
 
-let finalize ctx outcome =
-  (match outcome with Ok () -> () | Error _ -> ( try drain_discarding ctx with _ -> ()));
-  with_lock ctx.rt (fun () ->
-      (match outcome with
-      | Ok () -> ctx.state <- Completed
-      | Error e ->
-        ctx.failure <- Some e;
-        ctx.state <- Failed);
-      ctx.rt.sched.broadcast ())
+(* On failure a task abandons its children: abort them all and keep merging
+   (discarding) until each completes.  A sync-looping child sees
+   [Error Aborted] and is expected to exit; one that never completes keeps
+   its parent alive — the paper's position is that abort must not kill
+   threads forcefully. *)
+let drain_discarding ctx =
+  with_lock ctx.rt (fun () -> List.iter (fun c -> c.abort_requested <- true) ctx.children);
+  merge_until_no_children ctx
 
-(* Sanitizer edge: the body just returned; children still attached at this
-   point are merged only by the *implicit* MergeAll — legal, but a hazard for
-   programs that are audited for determinism (the merge point is no longer
-   visible in the code). *)
-let sanitize_body_end ctx =
-  if Sanitizer_hook.active () then begin
-    let unmerged = with_lock ctx.rt (fun () -> List.map (fun c -> c.name) ctx.children) in
-    Sanitizer_hook.emit (Sanitizer_hook.Task_finished { task = ctx.name; unmerged })
-  end
-
-let run_task child body =
+(* Every task's body, root or child: the body, the implicit MergeAll, and on
+   failure the drain, with the outcome reified so the caller decides what a
+   failure means (a child records it, a root re-raises it). *)
+let run_body task body =
   let outcome =
-    match body child with
-    | () ->
-      sanitize_body_end child;
-      (match merge_until_no_children child with () -> Ok () | exception e -> Error e)
+    match body task with
+    | v ->
+      (* Sanitizer edge: children still attached here are merged only by the
+         implicit MergeAll — legal, but a hazard for programs that are
+         audited for determinism (the merge point is no longer visible in
+         the code). *)
+      if Sanitizer_hook.active () then begin
+        let unmerged = with_lock task.rt (fun () -> List.map (fun c -> c.name) task.children) in
+        Sanitizer_hook.emit (Sanitizer_hook.Task_finished { task = task.name; unmerged })
+      end;
+      (match merge_until_no_children task with () -> Ok v | exception e -> Error e)
     | exception e ->
       if Sanitizer_hook.active () then
-        Sanitizer_hook.emit (Sanitizer_hook.Task_finished { task = child.name; unmerged = [] });
+        Sanitizer_hook.emit (Sanitizer_hook.Task_finished { task = task.name; unmerged = [] });
       Error e
   in
-  finalize child outcome
+  (match outcome with Ok _ -> () | Error _ -> ( try drain_discarding task with _ -> ()));
+  outcome
+
+let run_task child body =
+  let outcome = run_body child body in
+  with_lock child.rt (fun () ->
+      (match outcome with
+      | Ok () -> child.state <- Completed
+      | Error e ->
+        child.failure <- Some e;
+        child.state <- Failed);
+      child.rt.sched.broadcast ())
 
 (* Share the workspace, timing the share. *)
 let timed_copy ws =
@@ -540,46 +496,17 @@ let has_children ctx = with_lock ctx.rt (fun () -> ctx.children <> [])
 let task_name ctx = ctx.name
 let handle_name h = h.name
 let task_id ctx = ctx.id
-let handle_id h = h.id
 
 (* --- root ------------------------------------------------------------------ *)
 
-(* Roots draw from the same process-wide counter as children so that task
-   ids stay unique across sequential [run]s — trace consumers (Trace_model)
-   key tasks by id, and a recycled root id would fold separate runs into
-   one task. *)
-let make_root rt =
-  { id = Atomic.fetch_and_add next_task_id 1
-  ; name = "root"
-  ; parent = None
-  ; rt
-  ; ws = Ws.create ()
-  ; base = Ws.Versions.empty
-  ; state = Running
-  ; children = []
-  ; child_counter = 0
-  ; abort_requested = false
-  ; failure = None
-  ; sync_outcome = None
-  }
-
-(* Root body + the implicit final merges + failure draining, with the
-   outcome reified so schedulers decide where to re-raise. *)
-let run_root root body =
+(* A fresh root task on [rt], run through the shared body runner between
+   its own Task_start/Task_end events. *)
+let run_root rt body =
+  let root = make_task rt ~name:"root" ~parent:None ~ws:(Ws.create ()) ~base:Ws.Versions.empty in
   if Obs.on Obs.Info then Obs.emit (E.make ~task:root.name ~task_id:root.id E.Task_start);
   if Sanitizer_hook.active () then
     Sanitizer_hook.emit (Sanitizer_hook.Task_started { task = root.name });
-  let result =
-    match body root with
-    | v ->
-      sanitize_body_end root;
-      (match merge_until_no_children root with () -> Ok v | exception e -> Error e)
-    | exception e ->
-      if Sanitizer_hook.active () then
-        Sanitizer_hook.emit (Sanitizer_hook.Task_finished { task = root.name; unmerged = [] });
-      Error e
-  in
-  (match result with Ok _ -> () | Error _ -> ( try drain_discarding root with _ -> ()));
+  let result = run_body root body in
   if Obs.on Obs.Info then
     Obs.emit
       (E.make ~task:root.name ~task_id:root.id
@@ -603,7 +530,7 @@ let run ?domains ?executor ?record ?replay body =
     | None -> (Executor.create ?domains (), true)
   in
   let rt = { sched = threaded_sched exec; record; replay } in
-  let result = run_root (make_root rt) body in
+  let result = run_root rt body in
   if owns_executor then Executor.shutdown exec;
   match result with Ok v -> v | Error e -> raise e
 
@@ -624,10 +551,8 @@ module Coop = struct
       ; broadcast = ignore
       }
     in
-    let rt = { sched; record; replay } in
-    let root = make_root rt in
     let result = ref None in
-    Queue.add (fun () -> result := Some (run_root root body)) runnable;
+    Queue.add (fun () -> result := Some (run_root { sched; record; replay } body)) runnable;
     let handler =
       { Effect.Deep.retc = Fun.id
       ; exnc = raise

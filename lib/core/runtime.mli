@@ -187,8 +187,6 @@ val task_id : ctx -> int
     runs; use {!task_name} for deterministic identity.  This is the id
     {!Sm_obs} events carry and Chrome traces use as the thread lane. *)
 
-val handle_id : handle -> int
-
 (** Observation points for the determinism sanitizer (DetSan, in
     [Sm_check.Detsan]) — hooked through the runtime the same way {!Sm_obs}
     tracing is: every site is a single load + branch while nothing is

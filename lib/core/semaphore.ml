@@ -1,11 +1,6 @@
 module Ws = Sm_mergeable.Workspace
 
-module Mlist_int = Sm_mergeable.Mlist.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let pp = Format.pp_print_int
-end)
+module Mlist_int = Sm_mergeable.Mlist.Make (Sm_ot.Op_sig.Int_elt)
 
 type outcome =
   | Completed

@@ -18,23 +18,8 @@ module type S = sig
   val op_codec : op C.t
 end
 
-module Int_elt = struct
-  type t = int
-
-  let equal = Int.equal
-  let compare = Int.compare
-  let pp = Format.pp_print_int
-  let codec = C.int
-end
-
-module String_elt = struct
-  type t = string
-
-  let equal = String.equal
-  let compare = String.compare
-  let pp ppf s = Format.fprintf ppf "%S" s
-  let codec = C.string
-end
+module Int_elt = Sm_ot.Op_sig.Int_elt
+module String_elt = Sm_ot.Op_sig.String_elt
 
 module Counter = struct
   include Sm_ot.Op_counter

@@ -136,8 +136,6 @@ let cluster ?(nodes = 2) ?chaos registry =
   ; next_node = Atomic.make 0
   }
 
-let node_count cluster = Array.length cluster.nodes
-
 let send_down ?ctx cluster rank msg =
   Sm_util.Bqueue.push
     (Node.downstream cluster.nodes.(rank))

@@ -46,8 +46,6 @@ val cluster : ?nodes:int -> ?chaos:Chaos.t -> Registry.t -> cluster
     {!run}s before {!shutdown}.  With [chaos], upstream messages pass
     through the chaos relay. *)
 
-val node_count : cluster -> int
-
 val shutdown : cluster -> unit
 (** Stop every node and join their domains.  All runs must have finished. *)
 

@@ -2,28 +2,15 @@ module Rt = Sm_core.Runtime
 module Ws = Sm_mergeable.Workspace
 module P = Program
 
-module Int_elt = struct
-  type t = int
-
-  let equal = Int.equal
-  let compare = Int.compare
-  let pp = Format.pp_print_int
-end
-
-module Str_elt = struct
-  type t = string
-
-  let equal = String.equal
-  let pp ppf s = Format.fprintf ppf "%S" s
-end
-
+module Int_elt = Sm_ot.Op_sig.Int_elt
+module String_elt = Sm_ot.Op_sig.String_elt
 module Ilist = Sm_mergeable.Mlist.Make (Int_elt)
 module Iset = Sm_mergeable.Mset.Make (Int_elt)
-module Imap = Sm_mergeable.Mmap.Make (Int_elt) (Str_elt)
+module Imap = Sm_mergeable.Mmap.Make (Int_elt) (String_elt)
 module Iqueue = Sm_mergeable.Mqueue.Make (Int_elt)
 module Istack = Sm_mergeable.Mstack.Make (Int_elt)
-module Sreg = Sm_mergeable.Mregister.Make (Str_elt)
-module Stree = Sm_mergeable.Mtree.Make (Str_elt)
+module Sreg = Sm_mergeable.Mregister.Make (String_elt)
+module Stree = Sm_mergeable.Mtree.Make (String_elt)
 
 module Keyset = struct
   type t =

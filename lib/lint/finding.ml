@@ -51,9 +51,6 @@ let classes =
   ; ("unreachable-task", Note, None, "no spawn/clone path from the root reaches this script")
   ]
 
-let class_doc cls =
-  List.find_map (fun (c, _, _, doc) -> if String.equal c cls then Some doc else None) classes
-
 let class_twin cls =
   List.find_map (fun (c, _, twin, _) -> if String.equal c cls then twin else None) classes
 

@@ -35,7 +35,6 @@ type t =
 val classes : (string * severity * string option * string) list
 (** Every finding class: tag, default severity, DetSan twin tag, one-line doc. *)
 
-val class_doc : string -> string option
 val class_twin : string -> string option
 
 val make :

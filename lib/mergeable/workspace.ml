@@ -108,8 +108,6 @@ let compaction_enabled () = Atomic.get compaction
 
 let create () = { uid = Atomic.fetch_and_add next_ws_uid 1; cells = Imap.empty }
 
-let ws_uid t = t.uid
-
 let find_cell (type s o) (t : t) (k : (s, o) key) : (s, o) cell option =
   match Imap.find_opt k.id t.cells with
   | None -> None

@@ -213,15 +213,12 @@ val digest : t -> string
     a deterministic program must produce equal digests — the determinism
     oracle's observable. *)
 
-val ws_uid : t -> int
-(** Process-unique workspace identity (survives {!adopt}); what
-    {!Sanitizer_hook} events carry as [ws_id].  Diagnostic only — not stable
-    across runs. *)
-
 (** Observation points for the determinism sanitizer ({!Sm_check.Detsan}).
     Mirrors the {!Sm_obs} gating discipline: when nothing is installed each
     site costs one load and branch.  At most one listener at a time; the
-    workspace itself attaches no meaning to the events. *)
+    workspace itself attaches no meaning to the events.  [ws_id] is a
+    process-unique workspace identity (it survives {!adopt}); diagnostic
+    only, not stable across runs. *)
 module Sanitizer_hook : sig
   type event =
     | Key_created of { key : string }

@@ -100,8 +100,3 @@ let start ?(period_s = 5.0) emit =
 let stop r =
   Atomic.set r.stop_flag true;
   Thread.join r.thread
-
-let stderr_reporter ?period_s () =
-  start ?period_s (fun txt ->
-      prerr_string txt;
-      flush stderr)

@@ -32,6 +32,3 @@ val start : ?period_s:float -> (string -> unit) -> reporter
 
 val stop : reporter -> unit
 (** Signal and join the reporter thread (returns within ~50ms). *)
-
-val stderr_reporter : ?period_s:float -> unit -> reporter
-(** {!start} writing to stderr. *)

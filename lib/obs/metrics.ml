@@ -54,7 +54,6 @@ let histogram name =
 let add c n = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c.cell n)
 let incr c = add c 1
 let value c = Atomic.get c.cell
-let counter_name c = c.cname
 
 let observe h x =
   if Atomic.get enabled_flag then Mutex.protect h.hlock (fun () -> Sm_util.Vec.push h.samples x)
@@ -62,7 +61,6 @@ let observe h x =
 let observe_ns h ~since = observe h (float_of_int (Clock.now_ns () - since))
 
 let samples h = Mutex.protect h.hlock (fun () -> Sm_util.Vec.to_list h.samples)
-let histogram_name h = h.hname
 
 let summary h =
   match samples h with [] -> None | xs -> Some (Sm_util.Stats.summarize xs)

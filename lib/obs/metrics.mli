@@ -26,7 +26,6 @@ val counter : string -> counter
 val incr : counter -> unit
 val add : counter -> int -> unit
 val value : counter -> int
-val counter_name : counter -> string
 
 (** {1 Histograms} *)
 
@@ -48,7 +47,6 @@ val samples : histogram -> float list
 
 val summary : histogram -> Sm_util.Stats.summary option
 val percentile : histogram -> p:float -> float option
-val histogram_name : histogram -> string
 
 (** {1 Registry} *)
 

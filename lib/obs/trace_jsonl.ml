@@ -123,5 +123,4 @@ let fold path ~init ~f =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> fold_channel ic ~init ~f)
 
-let events_of_channel ic = List.rev (fold_channel ic ~init:[] ~f:(fun acc e -> e :: acc))
 let load path = List.rev (fold path ~init:[] ~f:(fun acc e -> e :: acc))

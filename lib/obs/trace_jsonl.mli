@@ -39,8 +39,6 @@ val dir_sink : ?lane:(Event.t -> string) -> string -> Sink.t
     run does, ready for {!Trace_stitch.of_files}.  Closing the sink closes
     every lane file. *)
 
-val events_of_channel : in_channel -> Event.t list
-
 val fold : string -> init:'a -> f:('a -> Event.t -> 'a) -> 'a
 (** Stream a JSONL trace file through [f] one event at a time, skipping
     blank lines — constant memory in the trace length, so analysis passes

@@ -3,11 +3,6 @@ type outcome =
   | Aborted
   | Validation_failed
 
-let outcome_to_string = function
-  | Merged -> "merged"
-  | Aborted -> "aborted"
-  | Validation_failed -> "validation_failed"
-
 let outcome_of_string = function
   | "merged" -> Some Merged
   | "aborted" -> Some Aborted

@@ -21,7 +21,6 @@ type outcome =
   | Aborted
   | Validation_failed
 
-val outcome_to_string : outcome -> string
 val outcome_of_string : string -> outcome option
 
 (** One {!Event.Merge_child}: a child's journal folded into (or refused by)

@@ -74,3 +74,24 @@ module Default = struct
   let compact ops = ops
   let commutes _ _ = false
 end
+
+(** The int and string elements shared by every instantiation in the
+    library, with the codecs the wire layer needs.  Their printers feed
+    workspace digests, so they stay [Format.pp_print_int] and ["%S"]. *)
+module Int_elt = struct
+  type t = int
+
+  let equal = Int.equal
+  let compare = Int.compare
+  let pp = Format.pp_print_int
+  let codec = Sm_util.Codec.int
+end
+
+module String_elt = struct
+  type t = string
+
+  let equal = String.equal
+  let compare = String.compare
+  let pp ppf s = Format.fprintf ppf "%S" s
+  let codec = Sm_util.Codec.string
+end

@@ -136,11 +136,6 @@ let iter_chunks f t =
   in
   go t
 
-let fold_chunks f acc t =
-  let acc = ref acc in
-  iter_chunks (fun s -> acc := f !acc s) t;
-  !acc
-
 let to_string t =
   match t with
   | Leaf s -> s

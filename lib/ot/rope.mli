@@ -48,8 +48,6 @@ val iter_chunks : (string -> unit) -> t -> unit
 (** Visit every chunk left to right — the streaming interface digesting and
     printing use so they never flatten the document. *)
 
-val fold_chunks : ('a -> string -> 'a) -> 'a -> t -> 'a
-
 val equal : t -> t -> bool
 (** Content equality, chunk-boundary independent, without flattening. *)
 

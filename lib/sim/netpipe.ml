@@ -76,7 +76,6 @@ end
 
 let faults : Faults.t option Atomic.t = Atomic.make None
 let set_faults f = Atomic.set faults f
-let faults_enabled () = Atomic.get faults <> None
 
 (* --- pipes ------------------------------------------------------------------ *)
 

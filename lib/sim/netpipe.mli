@@ -82,8 +82,6 @@ val set_faults : Faults.t option -> unit
 (** Install (or clear) the process-global fault plane.  Affects every
     connection; the default is [None] — zero-cost pass-through. *)
 
-val faults_enabled : unit -> bool
-
 (** {1 Observability} *)
 
 type stats =

@@ -1,23 +1,8 @@
 module R = Sm_core.Runtime
 module Ws = Sm_mergeable.Workspace
 
-module Int_elt = struct
-  type t = int
-
-  let equal = Int.equal
-  let compare = Int.compare
-  let pp = Format.pp_print_int
-end
-
-module Str_elt = struct
-  type t = string
-
-  let equal = String.equal
-  let pp ppf s = Format.fprintf ppf "%S" s
-end
-
-module Minv = Sm_mergeable.Mmap.Make (Int_elt) (Int_elt)
-module Maudit = Sm_mergeable.Mlist.Make (Str_elt)
+module Minv = Sm_mergeable.Mmap.Make (Sm_dist.Codable.Int_elt) (Sm_dist.Codable.Int_elt)
+module Maudit = Sm_mergeable.Mlist.Make (Sm_dist.Codable.String_elt)
 module Mc = Sm_mergeable.Mcounter
 
 type config =

@@ -44,12 +44,23 @@ let reduce_non_commutative () =
       Alcotest.(check string) (Printf.sprintf "chunks=%d" chunks) expected got)
     [ 1; 2; 5; 23; 64 ]
 
+(* reduce forks through the same chunked fork/join as map, so each of its
+   min chunks n children counts in par.chunk_tasks *)
 let reduce_numeric () =
   let xs = List.init 100 (fun i -> i + 1) in
+  let chunk_tasks = Sm_obs.Metrics.counter "par.chunk_tasks" in
+  let saved = Sm_obs.Metrics.is_enabled () in
+  Sm_obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Sm_obs.Metrics.set_enabled saved) @@ fun () ->
+  let before = Sm_obs.Metrics.value chunk_tasks in
   let got =
     in_runtime (fun ctx -> Par.reduce ~chunks:7 ctx ~map:(fun x -> x * x) ~combine:( + ) ~init:0 xs)
   in
-  Alcotest.(check int) "sum of squares" 338350 got
+  Alcotest.(check int) "sum of squares" 338350 got;
+  Alcotest.(check int) "one chunk task per chunk" 7 (Sm_obs.Metrics.value chunk_tasks - before);
+  let before = Sm_obs.Metrics.value chunk_tasks in
+  ignore (in_runtime (fun ctx -> Par.reduce ctx ~map:Fun.id ~combine:( + ) ~init:0 [ 1; 2; 3 ]));
+  Alcotest.(check int) "no more chunks than items" 3 (Sm_obs.Metrics.value chunk_tasks - before)
 
 let both_runs_in_parallel () =
   let a, b =

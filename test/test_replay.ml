@@ -11,33 +11,46 @@ module Mlist = Sm_mergeable.Mlist.Make (Str_elt)
 let kl = Mlist.key ~name:"replay-list"
 let executor = lazy (Sm_core.Executor.create ())
 
-(* Children race; merge_any order decides the final list.  [delays] perturbs
-   the race without changing the program's structure. *)
-let racy_program ~delays ctx =
+(* Children race; the any-merge's arrival order decides the final list.
+   [delays] perturbs the race without changing the program's structure;
+   [drain] is the any-merge that empties the task, given all its handles. *)
+let racy_program ~drain ~delays ctx =
   let ws = R.workspace ctx in
   Ws.init ws kl [];
-  List.iteri
-    (fun i d ->
-      ignore
-        (R.spawn ctx (fun child ->
-             Thread.delay d;
-             Mlist.append (R.workspace child) kl (Printf.sprintf "task-%d" i))))
-    delays;
-  let rec drain () = match R.merge_any ctx with Some _ -> drain () | None -> () in
-  drain ();
+  let handles =
+    List.mapi
+      (fun i d ->
+        R.spawn ctx (fun child ->
+            Thread.delay d;
+            Mlist.append (R.workspace child) kl (Printf.sprintf "task-%d" i)))
+      delays
+  in
+  let rec go () = match drain ctx handles with Some _ -> go () | None -> () in
+  go ();
   Mlist.get ws kl
 
-let run ?record ?replay delays =
-  R.run ~executor:(Lazy.force executor) ?record ?replay (racy_program ~delays)
+let merge_any ctx _ = R.merge_any ctx
+
+(* Both any-merges record and replay; the replay tests run on each. *)
+let drains =
+  [ ("merge_any", merge_any); ("merge_any_from_set", fun ctx hs -> R.merge_any_from_set ctx hs) ]
+
+let run ?record ?replay ?(drain = merge_any) delays =
+  R.run ~executor:(Lazy.force executor) ?record ?replay (racy_program ~drain ~delays)
 
 let replay_reproduces () =
-  let trace = R.Trace.create () in
-  (* record with one timing... *)
-  let recorded = run ~record:trace [ 0.008; 0.004; 0.0; 0.012 ] in
-  Alcotest.(check int) "choices recorded" 4 (R.Trace.length trace);
-  (* ...replay under the opposite timing: same result regardless *)
-  let replayed = run ~replay:trace [ 0.0; 0.004; 0.012; 0.002 ] in
-  Alcotest.(check (list string)) "replay reproduces the recorded order" recorded replayed
+  List.iter
+    (fun (label, drain) ->
+      let trace = R.Trace.create () in
+      (* record with one timing... *)
+      let recorded = run ~drain ~record:trace [ 0.008; 0.004; 0.0; 0.012 ] in
+      Alcotest.(check int) (label ^ ": choices recorded") 4 (R.Trace.length trace);
+      (* ...replay under the opposite timing: same result regardless *)
+      let replayed = run ~drain ~replay:trace [ 0.0; 0.004; 0.012; 0.002 ] in
+      Alcotest.(check (list string))
+        (label ^ ": replay reproduces the recorded order")
+        recorded replayed)
+    drains
 
 let trace_roundtrip () =
   let trace = R.Trace.create () in
@@ -70,18 +83,21 @@ let recording_does_not_disturb () =
   Alcotest.(check int) "merge_all records nothing" 0 (R.Trace.length trace)
 
 let exhausted_trace_falls_back () =
-  let trace = R.Trace.create () in
-  let first = run ~record:trace [ 0.002; 0.0 ] in
-  Alcotest.(check int) "two recorded" 2 (R.Trace.length trace);
-  (* replay a program with MORE children than the trace knows about: the
-     recorded prefix is forced, the rest merges freely *)
-  let bigger =
-    R.run ~executor:(Lazy.force executor) ~replay:trace
-      (racy_program ~delays:[ 0.004; 0.0; 0.002 ])
-  in
-  Alcotest.(check int) "all three merged" 3 (List.length bigger);
-  (* the recorded prefix is respected exactly *)
-  Alcotest.(check (list string)) "prefix preserved" first (List.filteri (fun i _ -> i < 2) bigger)
+  List.iter
+    (fun (label, drain) ->
+      let trace = R.Trace.create () in
+      let first = run ~drain ~record:trace [ 0.002; 0.0 ] in
+      Alcotest.(check int) (label ^ ": two recorded") 2 (R.Trace.length trace);
+      (* replay a program with MORE children than the trace knows about: the
+         recorded prefix is forced, the rest merges freely *)
+      let bigger = run ~drain ~replay:trace [ 0.004; 0.0; 0.002 ] in
+      Alcotest.(check int) (label ^ ": all three merged") 3 (List.length bigger);
+      (* the recorded prefix is respected exactly *)
+      Alcotest.(check (list string))
+        (label ^ ": prefix preserved")
+        first
+        (List.filteri (fun i _ -> i < 2) bigger))
+    drains
 
 let suite =
   [ Alcotest.test_case "replay reproduces a racy run" `Quick replay_reproduces

@@ -1,20 +1,7 @@
 (** Shared fixtures for the test suites. *)
 
-module Int_elt = struct
-  type t = int
-
-  let equal = Int.equal
-  let compare = Int.compare
-  let pp = Format.pp_print_int
-end
-
-module Str_elt = struct
-  type t = string
-
-  let equal = String.equal
-  let compare = String.compare
-  let pp ppf s = Format.fprintf ppf "%S" s
-end
+module Int_elt = Sm_ot.Op_sig.Int_elt
+module Str_elt = Sm_ot.Op_sig.String_elt
 
 (* Wrap a QCheck property as an alcotest case with a deterministic seed so
    failures reproduce. *)
