@@ -18,31 +18,28 @@ module Shard_metrics = Sm_shard.Shard_metrics
 module Service = Sm_shard.Service
 module Obs = Sm_obs
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let print_json (p : Load.profile) (r : Load.report) ~reproducible =
-  let digests =
-    String.concat ", " (List.map (fun d -> Printf.sprintf "\"%s\"" (json_escape d)) r.shard_digests)
-  in
-  Printf.printf
-    "{\"shards\": %d, \"clients\": %d, \"ops_per_client\": %d, \"seed\": %Ld, \"mode\": \"%s\", \
-     \"converged\": %b, \"reproducible\": %b, \"ticks\": %d, \"ops_applied\": %d, \
-     \"edits_merged\": %d, \"epochs\": %d, \"delta_bytes\": %d, \"snapshot_bytes\": %d, \
-     \"retransmits\": %d, \"resumes\": %d, \"shard_digests\": [%s]}\n"
-    p.shards p.clients p.ops_per_client p.seed
-    (match p.mode with `Delta -> "delta" | `Snapshot -> "snapshot")
-    r.converged reproducible r.ticks r.ops_applied r.edits_merged r.epochs r.delta_bytes
-    r.snapshot_bytes r.retransmits r.resumes digests
+  let open Obs.Json in
+  print_endline
+    (to_string
+       (Obj
+          [ ("shards", Int p.shards)
+          ; ("clients", Int p.clients)
+          ; ("ops_per_client", Int p.ops_per_client)
+          ; ("seed", Int (Int64.to_int p.seed))
+          ; ("mode", String (match p.mode with `Delta -> "delta" | `Snapshot -> "snapshot"))
+          ; ("converged", Bool r.converged)
+          ; ("reproducible", Bool reproducible)
+          ; ("ticks", Int r.ticks)
+          ; ("ops_applied", Int r.ops_applied)
+          ; ("edits_merged", Int r.edits_merged)
+          ; ("epochs", Int r.epochs)
+          ; ("delta_bytes", Int r.delta_bytes)
+          ; ("snapshot_bytes", Int r.snapshot_bytes)
+          ; ("retransmits", Int r.retransmits)
+          ; ("resumes", Int r.resumes)
+          ; ("shard_digests", List (List.map (fun d -> String d) r.shard_digests))
+          ]))
 
 let print_human (p : Load.profile) (r : Load.report) ~reproducible =
   Format.printf "%d shards, %d clients x %d ops, %s sync, epoch every %d ticks, seed %Ld@."

@@ -48,10 +48,6 @@ module Make_tree (Label : CODABLE_ELT) : sig
   module Op : module type of Sm_ot.Op_tree.Make (Label)
 
   include S with type state = Op.node list and type op = Op.op
-
-  val node_codec : Op.node Sm_util.Codec.t
-  (** Preorder (label, child-count, children) encoding — exposed for shard
-      payloads that ship single subtrees. *)
 end
 
 module Make_register (V : CODABLE_ELT) : sig

@@ -27,33 +27,35 @@ type ctx =
   }
 
 type t =
-  { mutable values : packed list (* reverse registration order *)
+  { mutable values : packed array (* indexed by wire id *)
   ; tasks : (string, ctx -> unit) Hashtbl.t
   }
 
-let create () = { values = []; tasks = Hashtbl.create 8 }
+let create () = { values = [||]; tasks = Hashtbl.create 8 }
 
 let value (type s o) t ~name (module D : CODABLE_DATA with type state = s and type op = o) :
     (s, o) rkey =
   let module Ctl = Sm_ot.Control.Make (D) in
   let rkey =
-    { wire_id = List.length t.values
+    { wire_id = Array.length t.values
     ; wkey = Ws.create_key (module D) ~name
     ; state_codec = D.state_codec
     ; journal_codec = D.journal_codec
     ; compact = Ctl.compact
     }
   in
-  t.values <- V rkey :: t.values;
+  t.values <- Array.append t.values [| V rkey |];
   rkey
 
-let values_in_order t = List.rev t.values
+(* [f] over the registered values in wire-id order, keeping the [Some]s. *)
+let filter_values t f =
+  Array.fold_right (fun v acc -> match f v with Some x -> x :: acc | None -> acc) t.values []
+
 let workspace_key rk = rk.wkey
 
 let find_value t id =
-  match List.find_opt (fun (V rk) -> rk.wire_id = id) t.values with
-  | Some v -> v
-  | None -> invalid_arg (Printf.sprintf "Registry: unknown wire id %d" id)
+  if id >= 0 && id < Array.length t.values then t.values.(id)
+  else invalid_arg (Printf.sprintf "Registry: unknown wire id %d" id)
 
 let wire_name t id =
   let (V rk) = find_value t id in
@@ -78,12 +80,10 @@ let find_task t name = Hashtbl.find t.tasks name
 (* --- wire plumbing ---------------------------------------------------------- *)
 
 let encode_snapshot t ws =
-  List.filter_map
-    (fun (V rk) ->
+  filter_values t (fun (V rk) ->
       if Ws.mem ws rk.wkey then
         Some (rk.wire_id, Sm_util.Codec.encode rk.state_codec (Ws.read ws rk.wkey))
       else None)
-    (values_in_order t)
 
 let build_workspace t snapshot =
   let ws = Ws.create () in
@@ -94,28 +94,27 @@ let build_workspace t snapshot =
     snapshot;
   ws
 
+(* Compacted like [encode_delta]'s suffixes (apply-equivalent, DESIGN §5c):
+   a Node's journal upload and a shard client's pending batch are the same
+   encoding. *)
 let encode_journal t ws =
-  List.filter_map
-    (fun (V rk) ->
+  filter_values t (fun (V rk) ->
       if Ws.mem ws rk.wkey then
         match Ws.journal ws rk.wkey with
         | [] -> None
-        | ops -> Some (rk.wire_id, Sm_util.Codec.encode rk.journal_codec ops)
+        | ops -> Some (rk.wire_id, Sm_util.Codec.encode rk.journal_codec (rk.compact ops))
       else None)
-    (values_in_order t)
 
 (* --- shard sync (delta journals, per-wire-id revisions) --------------------- *)
 
 let applied_ops = Sm_obs.Metrics.counter "registry.applied_delta_ops"
 
 let revisions t ws =
-  List.filter_map
-    (fun (V rk) -> if Ws.mem ws rk.wkey then Some (rk.wire_id, Ws.version_of ws rk.wkey) else None)
-    (values_in_order t)
+  filter_values t (fun (V rk) ->
+      if Ws.mem ws rk.wkey then Some (rk.wire_id, Ws.version_of ws rk.wkey) else None)
 
 let encode_delta ?memo t ws ~since =
-  List.filter_map
-    (fun (V rk) ->
+  filter_values t (fun (V rk) ->
       if not (Ws.mem ws rk.wkey) then None
       else
         let to_rev = Ws.version_of ws rk.wkey in
@@ -139,7 +138,6 @@ let encode_delta ?memo t ws ~since =
                 b)
           in
           Some (rk.wire_id, from_rev, to_rev, bytes))
-    (values_in_order t)
 
 (* Compacted suffixes are apply-equivalent to the journal slice but not
    op-for-op aligned with it, so a partially applied delta cannot be

@@ -83,7 +83,10 @@ val build_workspace : t -> (int * string) list -> Sm_mergeable.Workspace.t
     @raise Sm_util.Codec.Decode_error / [Invalid_argument] on unknown ids. *)
 
 val encode_journal : t -> Sm_mergeable.Workspace.t -> (int * string) list
-(** Encoded operation journal of every bound value with pending operations. *)
+(** Encoded operation journal of every bound value with pending operations,
+    {e compacted} like {!encode_delta}'s suffixes (apply-equivalent to the
+    raw journal, usually shorter).  One encoding serves a {!Node}'s journal
+    upload and a shard client's pending batch. *)
 
 val merge_journal :
   t ->

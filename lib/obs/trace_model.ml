@@ -49,17 +49,10 @@ type task =
   ; mutable syncs : sync_span list
   ; mutable clones_spawned : int
   ; mutable spawn_cells : int
-  ; mutable aborts_sent : int
-  ; mutable validation_fails : int
-  ; mutable notes : int
-  ; mutable phases : int
   ; mutable epochs : int
   ; mutable epoch_edits : int
   ; mutable delta_bytes : int
   ; mutable snapshot_bytes : int
-  ; mutable requests : int
-  ; mutable served : int
-  ; mutable first_ts : int
   ; mutable last_ts : int
   }
 
@@ -123,17 +116,10 @@ let find_or_create b ~name ~id ts =
       ; syncs = []
       ; clones_spawned = 0
       ; spawn_cells = 0
-      ; aborts_sent = 0
-      ; validation_fails = 0
-      ; notes = 0
-      ; phases = 0
       ; epochs = 0
       ; epoch_edits = 0
       ; delta_bytes = 0
       ; snapshot_bytes = 0
-      ; requests = 0
-      ; served = 0
-      ; first_ts = ts
       ; last_ts = ts
       }
     in
@@ -244,12 +230,6 @@ let add_event b (e : Event.t) =
       span.s_closed <- true;
       Hashtbl.remove b.open_syncs t.id
     | None -> ())
-  | Event.Abort -> t.aborts_sent <- t.aborts_sent + 1
-  | Event.Validation_fail -> t.validation_fails <- t.validation_fails + 1
-  | Event.Note -> t.notes <- t.notes + 1
-  | Event.Phase_begin -> t.phases <- t.phases + 1
-  | Event.Phase_end -> ()
-  | Event.Epoch_begin -> ()
   | Event.Epoch_end ->
     t.epochs <- t.epochs + 1;
     t.epoch_edits <- t.epoch_edits + Option.value ~default:0 (int_arg "edits" e)
@@ -260,16 +240,15 @@ let add_event b (e : Event.t) =
       t.delta_bytes <- t.delta_bytes + bytes;
       t.snapshot_bytes <- t.snapshot_bytes + Option.value ~default:0 (int_arg "snapshot_bytes" e)
     | _ -> t.snapshot_bytes <- t.snapshot_bytes + bytes)
-  | Event.Req_begin -> t.requests <- t.requests + 1
-  | Event.Req_end -> ()
-  | Event.Serve -> t.served <- t.served + 1
-  | Event.Epoch_merge -> ()
   | Event.Doc_merge ->
     let count name = Option.value ~default:0 (int_arg name e) in
     Doc_profile.add m.docs
       ~doc:(Option.value ~default:"?" (str_arg "doc" e))
       ~ops:(count "ops") ~transforms:(count "transforms") ~compact_in:(count "compact_in")
-      ~compact_out:(count "compact_out"));
+      ~compact_out:(count "compact_out")
+  | Event.Abort | Event.Validation_fail | Event.Note | Event.Phase_begin | Event.Phase_end
+  | Event.Epoch_begin | Event.Req_begin | Event.Req_end | Event.Serve | Event.Epoch_merge ->
+    ());
   t.last_ts <- max t.last_ts e.ts_ns
 
 let finish b =

@@ -71,19 +71,12 @@ type task =
   ; mutable spawn_cells : int
       (** workspace cells shared across this task's spawns/clones (from the
           Debug-level [ws_cells] spawn-cost arg; 0 on Info-level traces) *)
-  ; mutable aborts_sent : int
-  ; mutable validation_fails : int  (** as the merging parent *)
-  ; mutable notes : int
-  ; mutable phases : int
   ; mutable epochs : int  (** [Epoch_end] events (shard transform passes) *)
   ; mutable epoch_edits : int  (** client edits folded across those epochs *)
   ; mutable delta_bytes : int  (** sync payload bytes shipped as deltas *)
   ; mutable snapshot_bytes : int
       (** snapshot payload bytes: shipped (snapshot mode) or counterfactual
           (what a delta sync {e would} have cost as a snapshot) *)
-  ; mutable requests : int  (** [Req_begin] events (client requests put in flight) *)
-  ; mutable served : int  (** [Serve] events (shard requests handled) *)
-  ; mutable first_ts : int
   ; mutable last_ts : int
   }
 

@@ -8,16 +8,14 @@ module E = Sm_obs.Event
    shard servers' (2_000_00x): one lane per editor. *)
 let obs_client_tid i = 3_000_000 + i
 
+(* The one request in flight: the sealed frame a timeout retransmits
+   verbatim, its number and trace context, and which reply answers it. *)
 type outstanding =
-  | Connect of
-      { frame : string
-      ; tctx : Obs.Trace_ctx.t option
-      }  (* awaiting a Welcome *)
-  | Editing of
-      { frame : string
-      ; req : int
-      ; tctx : Obs.Trace_ctx.t option
-      }  (* awaiting the Ack for [req] *)
+  { frame : string
+  ; req : int
+  ; tctx : Obs.Trace_ctx.t option
+  ; welcome : bool  (* a Hello or Resume, answered by a Welcome; else the Ack for [req] *)
+  }
 
 type t =
   { reg : Registry.t
@@ -25,14 +23,14 @@ type t =
   ; mutable conn : Netpipe.conn option
   ; mutable session : int option
   ; mutable shadow : Ws.t  (* last server state this replica applied *)
-  ; mutable view : Ws.t  (* shadow + local ops not yet acked *)
+  ; mutable view : Ws.t
+      (* cloned trimmed at the shadow's head, so its journal is exactly the
+         local ops not yet acked: the pending batch *)
   ; cursors : (int, int) Hashtbl.t  (* wire_id -> server revision applied *)
-  ; local_base : (int, int) Hashtbl.t  (* wire_id -> shadow version at last view reset *)
   ; mutable pending_base : (int * int) list  (* server revisions the pending ops are against *)
   ; mutable pending_eid : int option  (* batch id once the pending ops were first flushed *)
   ; mutable next_req : int
   ; mutable next_eid : int
-  ; mutable last_acked_req : int
   ; mutable outstanding : outstanding option
   ; mutable ticks_waiting : int
   ; retry_after : int
@@ -46,13 +44,17 @@ type t =
   }
 
 (* Request contexts are minted only when tracing is on: off, requests carry
-   no context (the frame's context slot is empty). *)
-let mint t label =
-  if Obs.on Obs.Info then
+   no context (the frame's context slot is empty).  Span ids are derived
+   from the label, so it follows the request number alone: [hello] for
+   request 0, [req<n>] otherwise. *)
+let mint t ~req =
+  if Obs.on Obs.Info then begin
+    let label = t.name ^ "/" ^ if req = 0 then "hello" else Printf.sprintf "req%d" req in
     Some
       (match t.parent with
-      | Some p -> Obs.Trace_ctx.child p (t.name ^ "/" ^ label)
-      | None -> Obs.Trace_ctx.root (t.name ^ "/" ^ label))
+      | Some p -> Obs.Trace_ctx.child p label
+      | None -> Obs.Trace_ctx.root label)
+  end
   else None
 
 let req_begin t ~op ~req tctx =
@@ -64,31 +66,38 @@ let req_begin t ~op ~req tctx =
          ~args:([ ("op", E.S op); ("req", E.I req) ] @ Obs.Trace_ctx.args c)
          E.Req_begin)
 
-let req_end t ~status ~req tctx =
-  match tctx with
-  | None -> ()
-  | Some c ->
-    if Obs.on Obs.Info then
-      Obs.emit
-        (E.make ~task:t.name ~task_id:t.obs_tid
-           ~args:([ ("status", E.S status); ("req", E.I req) ] @ Obs.Trace_ctx.args c)
-           E.Req_end)
-
-let outstanding_finished t ~status =
+let req_end t ~status =
   match t.outstanding with
-  | Some (Connect { tctx; _ }) -> req_end t ~status ~req:0 tctx
-  | Some (Editing { req; tctx; _ }) -> req_end t ~status ~req tctx
-  | None -> ()
+  | Some { req; tctx = Some c; _ } when Obs.on Obs.Info ->
+    Obs.emit
+      (E.make ~task:t.name ~task_id:t.obs_tid
+         ~args:([ ("status", E.S status); ("req", E.I req) ] @ Obs.Trace_ctx.args c)
+         E.Req_end)
+  | _ -> ()
 
 let cursor_of t id = Option.value ~default:0 (Hashtbl.find_opt t.cursors id)
-let cursor_list t = Hashtbl.fold (fun id rev acc -> (id, rev) :: acc) t.cursors []
+let cursor_list t =
+  List.sort compare (Hashtbl.fold (fun id rev acc -> (id, rev) :: acc) t.cursors [])
 
-let reset_bases t =
-  Hashtbl.reset t.local_base;
-  List.iter (fun (id, v) -> Hashtbl.replace t.local_base id v) (Registry.revisions t.reg t.shadow);
-  t.pending_base <- List.sort compare (cursor_list t)
+let take_req t =
+  let req = t.next_req in
+  t.next_req <- req + 1;
+  req
 
-let send_new t frame =
+(* Every request leaves through here.  A Hello is request 0; every other
+   request carries a number from [take_req]. *)
+let request t msg =
+  let op, req, welcome =
+    match msg with
+    | Proto.Hello _ -> ("hello", 0, true)
+    | Proto.Resume { req; _ } -> ("resume", req, true)
+    | Proto.Edit { req; _ } -> ("edit", req, false)
+    | Proto.Poll { req; _ } -> ("poll", req, false)
+  in
+  let tctx = mint t ~req in
+  let frame = Proto.seal_c2s ?ctx:tctx msg in
+  req_begin t ~op ~req tctx;
+  t.outstanding <- Some { frame; req; tctx; welcome };
   (match t.conn with Some c -> Netpipe.send c frame | None -> ());
   t.ticks_waiting <- 0
 
@@ -103,12 +112,10 @@ let connect ~reg ~name ?(obs_tid = obs_client_tid 0) ?parent ~init listener =
     ; shadow
     ; view = Ws.clone_trimmed shadow
     ; cursors = Hashtbl.create 8
-    ; local_base = Hashtbl.create 8
     ; pending_base = []
     ; pending_eid = None
     ; next_req = 1
     ; next_eid = 0
-    ; last_acked_req = -1
     ; outstanding = None
     ; ticks_waiting = 0
     ; retry_after = 8
@@ -119,33 +126,20 @@ let connect ~reg ~name ?(obs_tid = obs_client_tid 0) ?parent ~init listener =
     ; parent
     }
   in
-  reset_bases t;
-  let tctx = mint t "hello" in
-  let frame = Proto.seal_c2s ?ctx:tctx (Proto.Hello { client = name }) in
-  req_begin t ~op:"hello" ~req:0 tctx;
-  t.outstanding <- Some (Connect { frame; tctx });
-  send_new t frame;
+  request t (Proto.Hello { client = name });
   t
 
 let view t = t.view
-let shadow t = t.shadow
-let session t = t.session
 let failed t = t.failed
 let retransmits t = t.retransmits
 let resumes t = t.resumes
 let connected t = t.conn <> None && t.session <> None && t.failed = None
 
-let pending_ops t =
-  List.fold_left
-    (fun acc (id, v) -> acc + (v - Option.value ~default:0 (Hashtbl.find_opt t.local_base id)))
-    0
-    (Registry.revisions t.reg t.view)
-
 let ready t =
   t.conn <> None && t.session <> None && t.outstanding = None && t.pending_eid = None
   && t.failed = None
 
-let synced t = ready t && pending_ops t = 0
+let synced t = ready t && Ws.op_count t.view = 0
 
 let edit t f =
   if t.pending_eid <> None then
@@ -170,36 +164,36 @@ let apply_payload t = function
 let after_ack t =
   t.view <- Ws.clone_trimmed t.shadow;
   t.pending_eid <- None;
-  reset_bases t
+  t.pending_base <- cursor_list t
+
+let answered t =
+  req_end t ~status:"ok";
+  t.outstanding <- None;
+  t.ticks_waiting <- 0
 
 let handle_frame t frame =
   match Proto.open_s2c frame with
   | _, Proto.Welcome { session; payload } -> (
     match t.outstanding with
-    | Some (Connect _) ->
+    | Some { welcome = true; _ } ->
       if t.session = None then t.session <- Some session;
       apply_payload t payload;
       (* With local operations (flushed or not) in play, the view keeps them
          and the next ack re-clones it; with nothing pending no ack will
          ever follow, so the epochs this welcome carried must reach the view
          here or the replica reports synced while rendering stale state. *)
-      if t.pending_eid = None && pending_ops t = 0 then after_ack t;
-      outstanding_finished t ~status:"ok";
-      t.outstanding <- None;
-      t.ticks_waiting <- 0
+      if t.pending_eid = None && Ws.op_count t.view = 0 then after_ack t;
+      answered t
     | _ -> () (* duplicate of an applied welcome *))
   | _, Proto.Ack { req; payload; _ } -> (
     match t.outstanding with
-    | Some (Editing { req = r; _ }) when req = r ->
+    | Some { welcome = false; req = r; _ } when req = r ->
       apply_payload t payload;
-      t.last_acked_req <- req;
-      outstanding_finished t ~status:"ok";
-      t.outstanding <- None;
-      t.ticks_waiting <- 0;
+      answered t;
       after_ack t
     | _ -> () (* replayed ack for an already-acked request *))
   | _, Proto.Nack { reason; _ } ->
-    outstanding_finished t ~status:"nack";
+    req_end t ~status:"nack";
     t.failed <- Some reason
   | exception (Sm_dist.Wire.Frame.Bad_frame msg | Sm_util.Codec.Decode_error msg) ->
     t.failed <- Some msg
@@ -208,65 +202,31 @@ let handle_frame t frame =
 
 (* --- driving ---------------------------------------------------------------- *)
 
+(* Ship the pending batch as edit batch [eid]: a fresh flush, or the re-issue
+   after a resume, which keeps the batch's eid and base (the server merges
+   each eid exactly once) under a fresh request number. *)
+let send_edit t ~eid =
+  t.pending_eid <- Some eid;
+  request t
+    (Proto.Edit
+       { session = Option.get t.session
+       ; req = take_req t
+       ; eid
+       ; base = t.pending_base
+       ; ops = Registry.encode_journal t.reg t.view
+       })
+
 let flush t =
-  if ready t then begin
-    let entries =
-      Registry.encode_delta t.reg t.view ~since:(fun id ->
-          Option.value ~default:0 (Hashtbl.find_opt t.local_base id))
-    in
-    match entries with
-    | [] -> ()
-    | entries ->
-      let ops = List.map (fun (id, _, _, bytes) -> (id, bytes)) entries in
-      let eid = t.next_eid in
-      t.next_eid <- t.next_eid + 1;
-      t.pending_eid <- Some eid;
-      let req = t.next_req in
-      t.next_req <- t.next_req + 1;
-      let session = Option.get t.session in
-      let tctx = mint t (Printf.sprintf "req%d" req) in
-      let frame =
-        Proto.seal_c2s ?ctx:tctx (Proto.Edit { session; req; eid; base = t.pending_base; ops })
-      in
-      req_begin t ~op:"edit" ~req tctx;
-      t.outstanding <- Some (Editing { frame; req; tctx });
-      send_new t frame
+  if ready t && Ws.op_count t.view > 0 then begin
+    let eid = t.next_eid in
+    t.next_eid <- eid + 1;
+    send_edit t ~eid
   end
 
 let poll t =
   (* Only meaningful when there is nothing to ship (flush covers that case
      and its ack carries the same catch-up delta). *)
-  if ready t && pending_ops t = 0 then begin
-    let req = t.next_req in
-    t.next_req <- t.next_req + 1;
-    let session = Option.get t.session in
-    let tctx = mint t (Printf.sprintf "req%d" req) in
-    let frame = Proto.seal_c2s ?ctx:tctx (Proto.Poll { session; req }) in
-    req_begin t ~op:"poll" ~req tctx;
-    t.outstanding <- Some (Editing { frame; req; tctx });
-    send_new t frame
-  end
-
-(* Re-issue a batch that was flushed before a disconnect: same eid and base
-   (the server merges each eid exactly once), fresh request number. *)
-let reissue_pending t =
-  match (t.pending_eid, t.session) with
-  | Some eid, Some session ->
-    let entries =
-      Registry.encode_delta t.reg t.view ~since:(fun id ->
-          Option.value ~default:0 (Hashtbl.find_opt t.local_base id))
-    in
-    let ops = List.map (fun (id, _, _, bytes) -> (id, bytes)) entries in
-    let req = t.next_req in
-    t.next_req <- t.next_req + 1;
-    let tctx = mint t (Printf.sprintf "req%d" req) in
-    let frame =
-      Proto.seal_c2s ?ctx:tctx (Proto.Edit { session; req; eid; base = t.pending_base; ops })
-    in
-    req_begin t ~op:"edit" ~req tctx;
-    t.outstanding <- Some (Editing { frame; req; tctx });
-    send_new t frame
-  | _ -> ()
+  if synced t then request t (Proto.Poll { session = Option.get t.session; req = take_req t })
 
 let tick t =
   (match t.conn with
@@ -282,14 +242,14 @@ let tick t =
     drain ());
   (* After a resume's welcome has landed, put the interrupted batch back in
      flight. *)
-  if t.outstanding = None && t.pending_eid <> None && t.conn <> None && t.failed = None then
-    reissue_pending t;
+  (match t.pending_eid with
+  | Some eid when t.outstanding = None && t.conn <> None && t.failed = None -> send_edit t ~eid
+  | _ -> ());
   match t.outstanding with
   | None -> ()
-  | Some o ->
+  | Some { frame; _ } ->
     t.ticks_waiting <- t.ticks_waiting + 1;
     if t.ticks_waiting >= t.retry_after then begin
-      let frame = match o with Connect { frame; _ } | Editing { frame; _ } -> frame in
       (match t.conn with Some c -> Netpipe.send c frame | None -> ());
       t.retransmits <- t.retransmits + 1;
       t.ticks_waiting <- 0
@@ -303,30 +263,9 @@ let disconnect t =
   t.ticks_waiting <- 0
 
 let resume t listener =
+  t.conn <- Some (Netpipe.connect listener);
   match t.session with
-  | None ->
-    t.conn <- Some (Netpipe.connect listener);
-    let tctx = mint t "hello" in
-    let frame = Proto.seal_c2s ?ctx:tctx (Proto.Hello { client = t.name }) in
-    req_begin t ~op:"hello" ~req:0 tctx;
-    t.outstanding <- Some (Connect { frame; tctx });
-    send_new t frame
+  | None -> request t (Proto.Hello { client = t.name })
   | Some session ->
-    t.conn <- Some (Netpipe.connect listener);
     t.resumes <- t.resumes + 1;
-    let req = t.next_req in
-    t.next_req <- t.next_req + 1;
-    let tctx = mint t (Printf.sprintf "req%d" req) in
-    let frame =
-      Proto.seal_c2s ?ctx:tctx
-        (Proto.Resume { session; req; cursors = List.sort compare (cursor_list t) })
-    in
-    req_begin t ~op:"resume" ~req tctx;
-    t.outstanding <- Some (Connect { frame; tctx });
-    send_new t frame
-
-let bye t =
-  (match (t.conn, t.session) with
-  | Some c, Some session -> Netpipe.send c (Proto.seal_c2s (Proto.Bye { session }))
-  | _ -> ());
-  t.conn <- None
+    request t (Proto.Resume { session; req = take_req t; cursors = cursor_list t })

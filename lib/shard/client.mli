@@ -1,9 +1,10 @@
 (** A document replica holding a session with one shard.
 
     The client keeps two workspaces: [shadow] — the server's state as of the
-    last applied reply — and [view] — shadow plus local operations not yet
-    acknowledged.  An editor mutates the view ({!edit}); {!flush} ships the
-    accumulated batch with the revisions it was recorded against; the Ack's
+    last applied reply — and [view] — a clone of the shadow at its head plus
+    local operations not yet acknowledged, so the view's journal is the
+    pending batch.  An editor mutates the view ({!edit}); {!flush} ships
+    that journal with the revisions it was recorded against; the Ack's
     delta (which includes the client's own transformed operations) advances
     the shadow, and the view is re-cloned from it.
 
@@ -47,9 +48,6 @@ val obs_client_tid : int -> int
 val tick : t -> unit
 val view : t -> Sm_mergeable.Workspace.t
 
-val shadow : t -> Sm_mergeable.Workspace.t
-(** Exposed for tests; treat as read-only. *)
-
 val edit : t -> (Sm_mergeable.Workspace.t -> unit) -> unit
 (** Apply an editing function to the view.
     @raise Invalid_argument while a flushed batch is unacknowledged (its
@@ -73,8 +71,6 @@ val synced : t -> bool
 (** {!ready} and no pending local operations: the view equals the server
     state as of the last reply. *)
 
-val pending_ops : t -> int
-
 val disconnect : t -> unit
 (** Abandon the connection like a crash — no goodbye, in-flight request and
     all; the session survives on the server for {!resume}. *)
@@ -83,10 +79,6 @@ val resume : t -> Sm_sim.Netpipe.listener -> unit
 (** Reconnect and re-attach to the session with the last applied cursors
     (falls back to a fresh [Hello] when no session was established yet). *)
 
-val bye : t -> unit
-(** Polite goodbye: tells the shard to forget the session. *)
-
-val session : t -> int option
 val connected : t -> bool
 
 val failed : t -> string option

@@ -23,7 +23,6 @@ type c2s =
       { session : int
       ; req : int
       }
-  | Bye of { session : int }
 
 type s2c =
   | Welcome of
@@ -63,9 +62,11 @@ let payload_codec =
 
 let revs_codec = C.list (C.pair C.int C.int)
 
+(* Tag 3 is unassigned so that Poll keeps its wire tag 4; a stray 3 is an
+   unknown tag like any other. *)
 let c2s_codec =
   C.tagged
-    ~tag:(function Hello _ -> 0 | Resume _ -> 1 | Edit _ -> 2 | Bye _ -> 3 | Poll _ -> 4)
+    ~tag:(function Hello _ -> 0 | Resume _ -> 1 | Edit _ -> 2 | Poll _ -> 4)
     ~write:(fun buf -> function
       | Hello { client } -> C.W.string buf client
       | Resume { session; req; cursors } ->
@@ -80,8 +81,7 @@ let c2s_codec =
         C.W.value Sm_dist.Wire.entries_codec buf ops
       | Poll { session; req } ->
         C.W.int buf session;
-        C.W.int buf req
-      | Bye { session } -> C.W.int buf session)
+        C.W.int buf req)
     ~read:(fun tag r ->
       match tag with
       | 0 -> Hello { client = C.R.string r }
@@ -97,7 +97,6 @@ let c2s_codec =
         let base = C.R.value revs_codec r in
         let ops = C.R.value Sm_dist.Wire.entries_codec r in
         Edit { session; req; eid; base; ops }
-      | 3 -> Bye { session = C.R.int r }
       | 4 ->
         let session = C.R.int r in
         let req = C.R.int r in

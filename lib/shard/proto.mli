@@ -20,6 +20,10 @@ type payload =
       (** [(wire_id, rev, state_bytes)]: full encoded states, the fallback
           (and the baseline the delta/snapshot byte gate compares against) *)
 
+(** The four client requests.  [Hello] opens a session; the other three
+    name an existing one and pass the server's one session gate.  [Hello]
+    and [Resume] are answered by a [Welcome], [Edit] (at the next epoch)
+    and [Poll] (at once) by an [Ack].  There is no goodbye. *)
 type c2s =
   | Hello of { client : string }  (** open a fresh session (cursors all 0) *)
   | Resume of
@@ -37,7 +41,9 @@ type c2s =
               (a fresh [req] after a resume), so the server merges each
               batch exactly once *)
       ; base : (int * int) list  (** revisions the ops were recorded against *)
-      ; ops : (int * string) list  (** [(wire_id, encoded op list)] *)
+      ; ops : (int * string) list
+          (** [(wire_id, encoded op list)]: the client's compacted pending
+              journal ({!Sm_dist.Registry.encode_journal}) *)
       }
   | Poll of
       { session : int
@@ -46,7 +52,6 @@ type c2s =
       (** pull without pushing: answered immediately (outside the epoch) with
           whatever accumulated since the session's watermark — how an idle
           client catches up on epochs it did not participate in *)
-  | Bye of { session : int }
 
 type s2c =
   | Welcome of

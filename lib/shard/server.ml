@@ -228,17 +228,27 @@ let serve t ~op ~req ~session tctx =
            E.Serve);
     Some sctx
 
-let reply ?ctx (s : session) ~req msg =
-  let frame = Proto.seal_s2c ?ctx msg in
-  s.last_req <- req;
-  s.cached <- Some frame;
-  Netpipe.send s.sconn frame
-
 let replay t (s : session) =
   t.replays <- t.replays + 1;
   Obs.Metrics.incr m_replays;
   fr t E.Note [ ("name", E.S "replay"); ("session", E.I s.sid); ("req", E.I s.last_req) ];
   match s.cached with Some frame -> Netpipe.send s.sconn frame | None -> ()
+
+(* Every Welcome and Ack leaves through here: a payload bringing [s] from
+   what it was last shipped to the head, accounted, sealed, cached as the
+   reply to [req] for replay, and sent. *)
+let answer t ?ctx (s : session) ~req kind =
+  let payload = fresh_payload t s in
+  account_payload t payload;
+  let msg =
+    match kind with
+    | `Welcome -> Proto.Welcome { session = s.sid; payload }
+    | `Ack -> Proto.Ack { session = s.sid; req; payload }
+  in
+  let frame = Proto.seal_s2c ?ctx msg in
+  s.last_req <- req;
+  s.cached <- Some frame;
+  Netpipe.send s.sconn frame
 
 (* A Nack is a service hazard (protocol violation or lost session): besides
    refusing, snapshot every flight ring so the post-mortem ships with the
@@ -268,68 +278,47 @@ let handle_hello t conn ~client ~tctx =
   t.next_sid <- t.next_sid + 1;
   Hashtbl.replace t.sessions s.sid s;
   let sctx = serve t ~op:"hello" ~req:0 ~session:s.sid tctx in
-  let payload = fresh_payload t s in
-  account_payload t payload;
-  reply ?ctx:sctx s ~req:0 (Proto.Welcome { session = s.sid; payload })
+  answer t ?ctx:sctx s ~req:0 `Welcome
 
-let handle_resume t conn ~session ~req ~cursors ~tctx =
+(* Every request on an existing session passes this gate: an unknown
+   session is Nacked; a known one is rebound to the connection the request
+   came on (a resume arrives on a new one), and a request number it has
+   already answered gets the cached reply (dup/reorder faults).  Only a
+   fresh request reaches [handle]. *)
+let with_session t conn ~session ~req handle =
   match Hashtbl.find_opt t.sessions session with
   | None -> nack t conn ~session ~req ~reason:"unknown session"
   | Some s ->
     s.sconn <- conn;
-    if req <= s.last_req then begin
-      (* Duplicate (dup/reorder fault): replay the identical welcome. *)
-      replay t s
-    end
-    else begin
-      (* A resume means the client lost its connection — chaos at work.
-         Snapshot the rings so the run's post-mortem covers the window the
-         disconnect interrupted, then re-ship from the client's cursors. *)
-      let sctx = serve t ~op:"resume" ~req ~session tctx in
-      Obs.Flight_recorder.trigger
-        ~reason:(Printf.sprintf "%s: resume session %d req %d" t.obs_task session req);
-      (* The client's cursors are authoritative: acks it never saw must be
-         re-shipped, so roll the watermark back to what it actually holds. *)
-      Hashtbl.reset s.acked;
-      List.iter (fun (id, rev) -> Hashtbl.replace s.acked id rev) cursors;
-      let payload = fresh_payload t s in
-      account_payload t payload;
-      reply ?ctx:sctx s ~req (Proto.Welcome { session = s.sid; payload })
-    end
+    if req <= s.last_req then replay t s else handle s
 
-let handle_edit t conn ~session ~req ~eid ~base ~ops ~tctx =
-  match Hashtbl.find_opt t.sessions session with
-  | None -> nack t conn ~session ~req ~reason:"unknown session"
-  | Some s ->
-    s.sconn <- conn;
-    if req <= s.last_req then replay t s
-    else if
-      List.exists (fun (s', req', _, _, _, _) -> s'.sid = s.sid && req' = req) t.epoch_buffer
-    then () (* retransmit of an edit already waiting for the epoch *)
-    else begin
-      let sctx = serve t ~op:"edit" ~req ~session tctx in
-      t.epoch_buffer <- (s, req, eid, base, ops, sctx) :: t.epoch_buffer
-    end
+let handle_resume t ~req ~cursors ~tctx (s : session) =
+  (* A resume means the client lost its connection — chaos at work.
+     Snapshot the rings so the run's post-mortem covers the window the
+     disconnect interrupted, then re-ship from the client's cursors. *)
+  let sctx = serve t ~op:"resume" ~req ~session:s.sid tctx in
+  Obs.Flight_recorder.trigger
+    ~reason:(Printf.sprintf "%s: resume session %d req %d" t.obs_task s.sid req);
+  (* The client's cursors are authoritative: acks it never saw must be
+     re-shipped, so roll the watermark back to what it actually holds. *)
+  Hashtbl.reset s.acked;
+  List.iter (fun (id, rev) -> Hashtbl.replace s.acked id rev) cursors;
+  answer t ?ctx:sctx s ~req `Welcome
 
-let handle_poll t conn ~session ~req ~tctx =
-  match Hashtbl.find_opt t.sessions session with
-  | None -> nack t conn ~session ~req ~reason:"unknown session"
-  | Some s ->
-    s.sconn <- conn;
-    if req <= s.last_req then replay t s
-    else begin
-      (* Answered immediately (not at the epoch): a poll carries no ops, it
-         just reads the head — it is how an idle client hears about epochs
-         it sent nothing into. *)
-      let sctx = serve t ~op:"poll" ~req ~session tctx in
-      let payload = fresh_payload t s in
-      account_payload t payload;
-      reply ?ctx:sctx s ~req (Proto.Ack { session = s.sid; req; payload })
-    end
+let handle_edit t ~req ~eid ~base ~ops ~tctx (s : session) =
+  if List.exists (fun (s', req', _, _, _, _) -> s'.sid = s.sid && req' = req) t.epoch_buffer
+  then () (* retransmit of an edit already waiting for the epoch *)
+  else begin
+    let sctx = serve t ~op:"edit" ~req ~session:s.sid tctx in
+    t.epoch_buffer <- (s, req, eid, base, ops, sctx) :: t.epoch_buffer
+  end
 
-let handle_bye t ~session =
-  fr t E.Serve [ ("op", E.S "bye"); ("session", E.I session) ];
-  Hashtbl.remove t.sessions session
+(* Answered immediately (not at the epoch): a poll carries no ops, it just
+   reads the head — it is how an idle client hears about epochs it sent
+   nothing into. *)
+let handle_poll t ~req ~tctx (s : session) =
+  let sctx = serve t ~op:"poll" ~req ~session:s.sid tctx in
+  answer t ?ctx:sctx s ~req `Ack
 
 let reject t reason =
   t.rejects <- t.rejects + 1;
@@ -340,11 +329,11 @@ let handle_frame t conn frame =
   match Proto.open_c2s frame with
   | tctx, Proto.Hello { client } -> handle_hello t conn ~client ~tctx
   | tctx, Proto.Resume { session; req; cursors } ->
-    handle_resume t conn ~session ~req ~cursors ~tctx
+    with_session t conn ~session ~req (handle_resume t ~req ~cursors ~tctx)
   | tctx, Proto.Edit { session; req; eid; base; ops } ->
-    handle_edit t conn ~session ~req ~eid ~base ~ops ~tctx
-  | tctx, Proto.Poll { session; req } -> handle_poll t conn ~session ~req ~tctx
-  | _, Proto.Bye { session } -> handle_bye t ~session
+    with_session t conn ~session ~req (handle_edit t ~req ~eid ~base ~ops ~tctx)
+  | tctx, Proto.Poll { session; req } ->
+    with_session t conn ~session ~req (handle_poll t ~req ~tctx)
   | exception (Sm_dist.Wire.Frame.Bad_frame msg | Sm_util.Codec.Decode_error msg) -> reject t msg
   | exception Sm_dist.Wire.Frame.Unsupported_version { got; speaks } ->
     reject t (Printf.sprintf "frame version %d (this build speaks %d)" got speaks)
@@ -432,12 +421,7 @@ let flush_epoch t =
           total_ops := !total_ops + List.length ops
         end)
       edits;
-    List.iter
-      (fun ((s : session), req, _, _, _, sctx) ->
-        let payload = fresh_payload t s in
-        account_payload t payload;
-        reply ?ctx:sctx s ~req (Proto.Ack { session = s.sid; req; payload }))
-      edits;
+    List.iter (fun ((s : session), req, _, _, _, sctx) -> answer t ?ctx:sctx s ~req `Ack) edits;
     t.epochs_run <- t.epochs_run + 1;
     Obs.Metrics.incr m_epochs;
     Obs.Metrics.add m_epoch_edits n;

@@ -77,13 +77,6 @@ val doc_profiles : t -> Sm_obs.Doc_profile.t list
     is enabled. *)
 
 val recorder : t -> Sm_obs.Flight_recorder.t
-(** The shard's flight ring (registered under {!obs_shard_name}); every
-    served request, epoch bracket, rejection and nack is recorded here
-    regardless of sink verbosity. *)
-
-(** {1 Observability conventions} *)
-
-val obs_shard_tid : int -> int
-(** Trace lane for shard [k] — above the dist layer's [1_000_000]+ lanes. *)
-
-val obs_shard_name : int -> string
+(** The shard's flight ring (registered as [shard<k>]); every served
+    request, epoch bracket, rejection and nack is recorded here regardless
+    of sink verbosity. *)

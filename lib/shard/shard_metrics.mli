@@ -24,7 +24,6 @@ type row =
   ; merge_p95_ns : float option
   }
 
-val row_of_server : Server.t -> row
 val rows : Server.t list -> row list
 
 val hot_docs : ?limit:int -> Server.t list -> Sm_obs.Doc_profile.t list
@@ -33,9 +32,6 @@ val hot_docs : ?limit:int -> Server.t list -> Sm_obs.Doc_profile.t list
     contributes per document), hottest first
     ({!Sm_obs.Doc_profile.compare_hottest}), printed by
     {!Sm_obs.Doc_profile.pp}.  At most [limit] (default 10) rows. *)
-
-val pp_rows : Format.formatter -> row list -> unit
-val pp_net : Format.formatter -> Sm_sim.Netpipe.stats -> unit
 
 val report : ?limit:int -> Server.t list -> string
 (** The full text report: shard table, hot documents, fault-plane line. *)

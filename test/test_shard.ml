@@ -56,12 +56,20 @@ let test_proto_roundtrip () =
     ; Proto.Edit
         { session = 3; req = 8; eid = 2; base = [ (0, 4) ]; ops = [ (0, "opbytes") ] }
     ; Proto.Poll { session = 3; req = 9 }
-    ; Proto.Bye { session = 3 }
     ]
   in
   List.iter
     (fun m -> checkb "c2s roundtrip" true (snd (Proto.open_c2s (Proto.seal_c2s m)) = m))
     c2s;
+  (* Tag 3 is unassigned: a stray one is an unknown tag, not a message. *)
+  let tag3 =
+    Sm_dist.Wire.Frame.seal Sm_dist.Wire.Frame.Control
+      Sm_util.Codec.(encode (pair int int) (3, 3))
+  in
+  checkb "c2s tag 3 is unknown" true
+    (match Proto.open_c2s tag3 with
+    | _ -> false
+    | exception Sm_util.Codec.Decode_error _ -> true);
   let s2c =
     [ Proto.Welcome { session = 3; payload = Proto.Delta [ (0, 1, 3, "ops") ] }
     ; Proto.Ack { session = 3; req = 8; payload = Proto.Snap [ (0, 5, "state") ] }
@@ -240,6 +248,57 @@ let test_resume_mid_epoch () =
   in
   check Alcotest.int "B1 merged exactly once" 1 (occurrences text "B1")
 
+(* The re-issue path against a scripted shard: a batch flushed before a
+   crash goes out again after the resume's Welcome with the same eid, base
+   and op bytes, under a fresh request number. *)
+let test_reissue_after_resume () =
+  let module Np = Sm_sim.Netpipe in
+  let reg = Service.registry docs in
+  let init =
+    Service.client_init (Service.create docs ~shards:1 ~mode:`Delta ~epoch_ticks:1) ~shard:0
+  in
+  let scratch_key = Service.text_key (Service.find_doc docs "t/scratch") in
+  let request conn =
+    match Np.try_recv conn with
+    | Some frame -> snd (Proto.open_c2s frame)
+    | None -> Alcotest.fail "no request arrived"
+  in
+  let welcome conn payload =
+    Np.send conn (Proto.seal_s2c (Proto.Welcome { session = 5; payload }))
+  in
+  (* The shard's head is one op past the seed, so the batch has a base. *)
+  let head = Ws.create () in
+  init head;
+  Ws.update head readme_key (Sm_ot.Op_text.Ins (0, "hi "));
+  let l1 = Np.listen () in
+  let c = Client.connect ~reg ~name:"dave" ~init l1 in
+  let s1 = Option.get (Np.try_accept l1) in
+  (match request s1 with Proto.Hello _ -> () | _ -> Alcotest.fail "expected a Hello");
+  welcome s1 (Proto.Delta (Registry.encode_delta reg head ~since:(fun _ -> 0)));
+  Client.tick c;
+  checkb "ready after the welcome" true (Client.ready c);
+  Client.edit c (fun ws ->
+      Ws.update ws readme_key (Sm_ot.Op_text.Ins (0, "A"));
+      Ws.update ws scratch_key (Sm_ot.Op_text.Ins (0, "B")));
+  Client.flush c;
+  let first = request s1 in
+  Client.disconnect c;
+  let l2 = Np.listen () in
+  Client.resume c l2;
+  let s2 = Option.get (Np.try_accept l2) in
+  (match request s2 with
+  | Proto.Resume { session = 5; _ } -> ()
+  | _ -> Alcotest.fail "expected a Resume");
+  welcome s2 (Proto.Delta []);
+  Client.tick c;
+  match (first, request s2) with
+  | Proto.Edit a, Proto.Edit b ->
+    check Alcotest.int "same eid" a.eid b.eid;
+    checkb "same base" true (a.base = b.base && a.base <> []);
+    checkb "same op bytes" true (a.ops = b.ops && List.length a.ops = 2);
+    checkb "larger req" true (b.req > a.req)
+  | _ -> Alcotest.fail "expected an Edit before and after the resume"
+
 (* A frame stamped with any version but the current one — here an old
    build's version 2 — is a typed rejection on both ends of a session: the
    client records the failure instead of raising out of [tick], and the
@@ -383,6 +442,27 @@ let traced_run run_in =
   in
   (root, report, Obs.Trace_stitch.stitch (lanes_of events))
 
+(* Every client Req_end names the request its Req_begin opened — a resume
+   included, though a Welcome answers it. *)
+let test_req_end_names_its_request () =
+  let r, events = with_debug_sink (fun () -> Load.run ~docs chaos_profile) in
+  checkb "converged" true r.Load.converged;
+  let arg name (e : Obs.Event.t) = List.assoc_opt name e.Obs.Event.args in
+  let is kind (e : Obs.Event.t) = e.Obs.Event.kind = kind in
+  let begins = Hashtbl.create 64 in
+  List.iter
+    (fun e -> if is Obs.Event.Req_begin e then Hashtbl.replace begins (arg "span" e) (arg "req" e))
+    events;
+  let ends = List.filter (is Obs.Event.Req_end) events in
+  checkb "requests were traced" true (ends <> []);
+  check Alcotest.int "req_end events whose req differs from their req_begin's" 0
+    (List.length
+       (List.filter (fun e -> Hashtbl.find_opt begins (arg "span" e) <> Some (arg "req" e)) ends));
+  checkb "a resume was traced" true
+    (List.exists
+       (fun e -> is Obs.Event.Req_begin e && arg "op" e = Some (Obs.Event.S "resume"))
+       events)
+
 let rec span_lanes (s : Obs.Trace_stitch.span) =
   List.map fst s.Obs.Trace_stitch.events @ List.concat_map span_lanes s.Obs.Trace_stitch.children
 
@@ -500,9 +580,13 @@ let suite =
   ; Alcotest.test_case "service: two clients converge" `Quick test_two_client_convergence
   ; Alcotest.test_case "service: idle resume refreshes the view" `Quick test_resume_refreshes_idle_view
   ; Alcotest.test_case "service: resume mid-epoch, exactly-once merge" `Quick test_resume_mid_epoch
+  ; Alcotest.test_case "service: re-issued batch keeps its eid, base and ops" `Quick
+      test_reissue_after_resume
   ; Alcotest.test_case "load: seed-reproducible under chaos" `Quick test_load_reproducible
   ; Alcotest.test_case "load: delta and snapshot modes agree" `Quick test_load_mode_invariance
   ; Alcotest.test_case "load: chaos converges on both schedulers" `Quick test_load_across_schedulers
+  ; Alcotest.test_case "obs: every req_end names its req_begin's request" `Quick
+      test_req_end_names_its_request
   ; Alcotest.test_case "obs: one request tree spans client + 2 shards" `Quick
       test_trace_tree_spans_processes
   ; Alcotest.test_case "obs: stitched tree identical across executors" `Quick
