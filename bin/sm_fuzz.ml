@@ -2,7 +2,7 @@
 
      sm-fuzz run --seeds 100 --depth 3            # fuzz generated spawn trees
      sm-fuzz run --faults validate,abort,sync,clone,any   # widen the step vocabulary
-     sm-fuzz run --mutate tie-bias                # seeded bug: expect failures (exit 1)
+     sm-fuzz run --mutate tie-bias                # seeded bug: expect failures (exit 3)
      sm-fuzz run --target net                     # Netpipe fault-plane conservation laws
      sm-fuzz run --target dist                    # coordinator chaos invariance
      sm-fuzz run --target shard                   # editor fleets: digest convergence under chaos
@@ -13,7 +13,9 @@
    Every failure prints a replayable report: the seed and config reproduce
    the run bit-for-bit, and the embedded shrunk program replays directly
    with --program.  With --lint, each failure report carries the sm-lint
-   static pre-pass verdict of its shrunk program.
+   static pre-pass verdict of its shrunk program.  --mutate, --lint and
+   --report-dir drive the spawn target and --flight-dir the shard target;
+   passing one to another target is a usage error.
 
    Exit codes: 0 clean, 1 NEW failures found (or a corpus / replay
    mismatch), 2 usage, 3 only expected failures — every failure is the
@@ -200,6 +202,13 @@ let run_shard ~seeds ~seed_base ~flight_dir =
 let run target seeds seed_base depth faults mutate runs lint report_dir flight_dir =
   let profile = parse_profile faults in
   let mutate = parse_mutate mutate in
+  let only_for t flag given =
+    if given && target <> t then die "%s applies only to --target %s, not %s" flag t target
+  in
+  only_for "spawn" "--mutate" (Option.is_some mutate);
+  only_for "spawn" "--lint" lint;
+  only_for "spawn" "--report-dir" (Option.is_some report_dir);
+  only_for "shard" "--flight-dir" (Option.is_some flight_dir);
   match target with
   | "spawn" -> run_spawn ~seeds ~seed_base ~depth ~profile ~mutate ~runs ~lint ~report_dir
   | "net" -> run_net ~seeds ~seed_base
@@ -296,7 +305,8 @@ let mutate_arg =
     value & opt (some string) None
     & info [ "mutate" ] ~docv:"KIND"
         ~doc:"Seed a transform bug (tie-bias, identity, drop-last, reverse) into every \
-              mergeable type; the differential oracle must catch it, so expect exit 1.")
+              mergeable type; the differential oracle must catch it, so expect exit 3.  \
+              Spawn target only.")
 
 let runs_arg =
   Arg.(value & opt int 3 & info [ "runs" ] ~docv:"N" ~doc:"Repetitions for the determinism oracle.")
@@ -306,7 +316,7 @@ let lint_arg =
     value & flag
     & info [ "lint" ]
         ~doc:"Run the sm-lint static pre-pass on each failure's shrunk program and embed its \
-              verdict in the report.")
+              verdict in the report.  Spawn target only.")
 
 let exits =
   [ Cmd.Exit.info 0 ~doc:"clean — no failures"
@@ -335,7 +345,8 @@ let run_cmd =
   let report_dir_arg =
     Arg.(
       value & opt (some string) None
-      & info [ "report-dir" ] ~docv:"DIR" ~doc:"Write each failure report to DIR/seed-S.report.")
+      & info [ "report-dir" ] ~docv:"DIR"
+          ~doc:"Spawn target: write each failure report to DIR/seed-S.report.")
   in
   let flight_dir_arg =
     Arg.(

@@ -13,6 +13,10 @@ module Make (E : Enum.S) = struct
     let type_name = "check:" ^ E.name
   end
 
+  (* The uncompacted reference: same type_name, so a raw key named like a
+     compacting one digests comparably. *)
+  module D_raw = Uncompacted.Make (D)
+
   type cex =
     { property : Report.property
     ; state : E.state
@@ -29,22 +33,17 @@ module Make (E : Enum.S) = struct
   (* --- property evaluators (true = holds; exceptions propagate) ----------- *)
 
   let fresh_key () = Ws.create_key (module D) ~name:D.type_name
+  let raw_key () = Ws.create_key (module D_raw) ~name:D.type_name
 
   let ws_of key state =
     let ws = Ws.create () in
     Ws.init ws key state;
     ws
 
-  let with_compaction on f =
-    let saved = Ws.compaction_enabled () in
-    Ws.set_compaction on;
-    Fun.protect ~finally:(fun () -> Ws.set_compaction saved) f
-
   (* Two concurrent single-log children merged into a parent that applied its
      own ops after spawning them — through the real Workspace path. *)
   let merge_order_result key state ~applied ~cx ~cy =
     let parent = ws_of key state in
-    let base = Ws.snapshot parent in
     let child ops =
       let c = Ws.copy parent in
       List.iter (Ws.update c key) ops;
@@ -52,16 +51,15 @@ module Make (E : Enum.S) = struct
     in
     let wx = child cx and wy = child cy in
     List.iter (Ws.update parent key) applied;
-    Ws.merge_child ~parent ~child:wx ~base;
-    Ws.merge_child ~parent ~child:wy ~base;
+    Ws.merge_child ~parent ~child:wx;
+    Ws.merge_child ~parent ~child:wy;
     (Ws.read parent key, Ws.digest parent)
 
   (* Merge_order and Merge_nested compare the workspace against the *pure*
-     control algorithm, so they run with compaction forced off; the Compact
-     property separately pins compaction-on to compaction-off.  Together:
-     on = off = control. *)
+     control algorithm, so they merge through a raw key; the Compact
+     property separately pins a compacting key to a raw one.  Together:
+     compacted = raw = control. *)
   let merge_order_holds key state ~applied ~cx ~cy =
-    with_compaction false @@ fun () ->
     let s1, d1 = merge_order_result key state ~applied ~cx ~cy in
     let s2, d2 = merge_order_result key state ~applied ~cx ~cy in
     let expect = Conv.merged_state ~state ~applied ~children:[ cx; cy ] in
@@ -74,20 +72,17 @@ module Make (E : Enum.S) = struct
      bookkeeping to the paper's equations. *)
   let merge_nested_result key state ~p ~c1 ~c2 ~g =
     let parent = ws_of key state in
-    let base_c = Ws.snapshot parent in
     let child = Ws.copy parent in
     List.iter (Ws.update child key) c1;
-    let base_g = Ws.snapshot child in
     let grand = Ws.copy child in
     List.iter (Ws.update child key) c2;
     List.iter (Ws.update grand key) g;
-    Ws.merge_child ~parent:child ~child:grand ~base:base_g;
+    Ws.merge_child ~parent:child ~child:grand;
     List.iter (Ws.update parent key) p;
-    Ws.merge_child ~parent ~child ~base:base_c;
+    Ws.merge_child ~parent ~child;
     Ws.read parent key
 
   let merge_nested_holds key state ~p ~c1 ~c2 ~g =
-    with_compaction false @@ fun () ->
     let got = merge_nested_result key state ~p ~c1 ~c2 ~g in
     let child_log = c1 @ C.merge ~applied:c2 ~children:[ g ] ~tie:Side.serialization in
     let expect = Conv.merged_state ~state ~applied:p ~children:[ child_log ] in
@@ -115,13 +110,11 @@ module Make (E : Enum.S) = struct
          all_ties
 
   (* The end-to-end claim: the same merge, journals compacted vs raw, lands
-     on the same state *and* the same digest.  The same key serves both runs
-     so the digests are comparable. *)
-  let merge_flag_equiv key state ~applied ~cx ~cy =
-    let s_on, d_on = with_compaction true (fun () -> merge_order_result key state ~applied ~cx ~cy) in
-    let s_off, d_off =
-      with_compaction false (fun () -> merge_order_result key state ~applied ~cx ~cy)
-    in
+     on the same state *and* the same digest.  Both keys carry the same name
+     and digests leave out key ids, so the digests are comparable. *)
+  let merge_compact_equiv state ~applied ~cx ~cy =
+    let s_on, d_on = merge_order_result (fresh_key ()) state ~applied ~cx ~cy in
+    let s_off, d_off = merge_order_result (raw_key ()) state ~applied ~cx ~cy in
     E.equal_state s_on s_off && String.equal d_on d_off
 
   (* Scenario = [applied; left; right; nested]: the shape the shrinker
@@ -139,8 +132,8 @@ module Make (E : Enum.S) = struct
       else Conv.seqs_converge ~state ~left ~right ~tie
     | Merge_order ->
       if nested <> [] then true
-      else merge_order_holds (fresh_key ()) state ~applied ~cx:left ~cy:right
-    | Merge_nested -> merge_nested_holds (fresh_key ()) state ~p:applied ~c1:left ~c2:right ~g:nested
+      else merge_order_holds (raw_key ()) state ~applied ~cx:left ~cy:right
+    | Merge_nested -> merge_nested_holds (raw_key ()) state ~p:applied ~c1:left ~c2:right ~g:nested
     | Compact ->
       if nested <> [] then true
       else
@@ -148,7 +141,7 @@ module Make (E : Enum.S) = struct
         && (match (applied, left, right) with
            | [], [ a ], [ b ] -> commutes_contract a b
            | _ -> true)
-        && merge_flag_equiv (fresh_key ()) state ~applied ~cx:left ~cy:right
+        && merge_compact_equiv state ~applied ~cx:left ~cy:right
 
   (* --- shrinking ----------------------------------------------------------- *)
 
@@ -216,9 +209,8 @@ module Make (E : Enum.S) = struct
             (render_state via_right) (render_state via_left)
         | Merge_order ->
           let got, _ =
-            with_compaction false (fun () ->
-                merge_order_result (fresh_key ()) cex.state ~applied:cex.applied ~cx:cex.left
-                  ~cy:cex.right)
+            merge_order_result (raw_key ()) cex.state ~applied:cex.applied ~cx:cex.left
+              ~cy:cex.right
           in
           let expect =
             Conv.merged_state ~state:cex.state ~applied:cex.applied
@@ -228,9 +220,8 @@ module Make (E : Enum.S) = struct
             (render_state got) (render_state expect)
         | Merge_nested ->
           let got =
-            with_compaction false (fun () ->
-                merge_nested_result (fresh_key ()) cex.state ~p:cex.applied ~c1:cex.left
-                  ~c2:cex.right ~g:cex.nested)
+            merge_nested_result (raw_key ()) cex.state ~p:cex.applied ~c1:cex.left ~c2:cex.right
+              ~g:cex.nested
           in
           let child_log =
             cex.left @ C.merge ~applied:cex.right ~children:[ cex.nested ] ~tie:Side.serialization
@@ -263,13 +254,11 @@ module Make (E : Enum.S) = struct
               "commutes promised identity transforms in both directions, but transform rewrites \
                the pair under some tie policy"
             | _ ->
-              let key = fresh_key () in
-              let run on =
-                with_compaction on (fun () ->
-                    merge_order_result key cex.state ~applied:cex.applied ~cx:cex.left
-                      ~cy:cex.right)
+              let run key =
+                merge_order_result key cex.state ~applied:cex.applied ~cx:cex.left ~cy:cex.right
               in
-              let s_on, d_on = run true and s_off, d_off = run false in
+              let s_on, d_on = run (fresh_key ()) in
+              let s_off, d_off = run (raw_key ()) in
               Format.asprintf "compacted merge gives %s (digest %s) but raw merge gives %s (digest %s)"
                 (render_state s_on) d_on (render_state s_off) d_off))
       with _ -> "")

@@ -15,8 +15,9 @@ type property =
           control-algorithm merge *)
   | Compact
       (** [compact] produces an apply-equivalent journal on every enumerated
-          state; workspace merges with compaction on vs off yield equal
-          states and digests; and [commutes a b] implies [transform] is the
+          state; workspace merges through a compacting key and an
+          {!Uncompacted} key of the same name yield equal states and
+          digests; and [commutes a b] implies [transform] is the
           identity in both directions under every tie policy (the contract
           the {!Sm_ot.Control.Make} fast paths rely on) *)
 

@@ -96,8 +96,7 @@ type task =
   ; name : string
   ; parent : task option
   ; rt : rt
-  ; ws : Ws.t
-  ; mutable base : Ws.Versions.t  (** parent's versions at spawn / last sync *)
+  ; ws : Ws.t  (** carries its base: the parent's versions at spawn / last sync *)
   ; mutable state : status
   ; mutable children : task list  (** creation order; retired children removed *)
   ; mutable child_counter : int
@@ -124,13 +123,12 @@ let ready c = match c.state with Sync_waiting | Completed | Failed -> true | Run
    counter as children so that task ids stay unique across sequential
    [run]s — trace consumers (Trace_model) key tasks by id, and a recycled
    root id would fold separate runs into one task. *)
-let make_task rt ~name ~parent ~ws ~base =
+let make_task rt ~name ~parent ~ws =
   { id = Atomic.fetch_and_add next_task_id 1
   ; name
   ; parent
   ; rt
   ; ws
-  ; base
   ; state = Running
   ; children = []
   ; child_counter = 0
@@ -139,12 +137,11 @@ let make_task rt ~name ~parent ~ws ~base =
   ; sync_outcome = None
   }
 
-let make_child ?(obs_kind = E.Spawn) parent ~ws ~base =
+let make_child ?(obs_kind = E.Spawn) parent ~ws =
   let index = parent.child_counter in
   parent.child_counter <- index + 1;
   let child =
     make_task parent.rt ~name:(Printf.sprintf "%s/%d" parent.name index) ~parent:(Some parent) ~ws
-      ~base
   in
   parent.children <- parent.children @ [ child ];
   parent.rt.sched.broadcast ();
@@ -190,7 +187,7 @@ let merge_child_locked ctx ~validate child =
   let compact_in_before = if metered then Obs.Metrics.value Sm_ot.Control.compact_in else 0 in
   let compact_out_before = if metered then Obs.Metrics.value Sm_ot.Control.compact_out else 0 in
   (match refusal with
-  | None -> Ws.merge_child ~parent:ctx.ws ~child:child.ws ~base:child.base
+  | None -> Ws.merge_child ~parent:ctx.ws ~child:child.ws
   | Some _ -> ());
   if metered then begin
     Obs.Metrics.incr m_merged_children;
@@ -229,7 +226,6 @@ let merge_child_locked ctx ~validate child =
   (match child.state with
   | Sync_waiting ->
     Ws.rebase_from child.ws ~parent:ctx.ws;
-    child.base <- Ws.snapshot ctx.ws;
     child.sync_outcome <- Some (match refusal with None -> Ok () | Some e -> Error e);
     child.state <- Running
   | Completed | Failed ->
@@ -247,7 +243,7 @@ let merge_child_locked ctx ~validate child =
    journal is itself pending state its own parent will merge. *)
 let truncate_locked ctx =
   match ctx.parent with
-  | None -> Ws.truncate_to_min ctx.ws ~bases:(List.map (fun c -> c.base) ctx.children)
+  | None -> Ws.truncate_to_min ctx.ws ~children:(List.map (fun c -> c.ws) ctx.children)
   | Some _ -> ()
 
 let default_validate _ = true
@@ -445,22 +441,19 @@ let run_task child body =
         child.state <- Failed);
       child.rt.sched.broadcast ())
 
-(* Share the workspace, timing the share. *)
-let timed_copy ws =
+(* Share the workspace with [share], timing the share. *)
+let timed_copy share ws =
   if Obs.Metrics.is_enabled () then begin
     let t0 = Obs.Clock.now_ns () in
-    let copy = Ws.copy ws in
+    let copy = share ws in
     Obs.Metrics.observe_ns h_ws_copy_ns ~since:t0;
     copy
   end
-  else Ws.copy ws
+  else share ws
 
 let spawn ctx body =
   Obs.Metrics.incr m_spawns;
-  let child =
-    with_lock ctx.rt (fun () ->
-        make_child ctx ~ws:(timed_copy ctx.ws) ~base:(Ws.snapshot ctx.ws))
-  in
+  let child = with_lock ctx.rt (fun () -> make_child ctx ~ws:(timed_copy Ws.copy ctx.ws)) in
   ctx.rt.sched.fork (fun () -> run_task child body);
   child
 
@@ -473,7 +466,9 @@ let clone ctx body =
       with_lock ctx.rt (fun () ->
           if not (Ws.is_pristine ctx.ws) then
             invalid_arg "Runtime.clone: cloning task has unmerged local operations";
-          make_child ~obs_kind:E.Clone parent ~ws:(timed_copy ctx.ws) ~base:ctx.base)
+          (* the trimmed clone keeps the cloner's base, which the pristine
+             cloner's empty journals still start at *)
+          make_child ~obs_kind:E.Clone parent ~ws:(timed_copy Ws.clone_trimmed ctx.ws))
     in
     ctx.rt.sched.fork (fun () -> run_task sibling body);
     sibling
@@ -502,7 +497,7 @@ let task_id ctx = ctx.id
 (* A fresh root task on [rt], run through the shared body runner between
    its own Task_start/Task_end events. *)
 let run_root rt body =
-  let root = make_task rt ~name:"root" ~parent:None ~ws:(Ws.create ()) ~base:Ws.Versions.empty in
+  let root = make_task rt ~name:"root" ~parent:None ~ws:(Ws.create ()) in
   if Obs.on Obs.Info then Obs.emit (E.make ~task:root.name ~task_id:root.id E.Task_start);
   if Sanitizer_hook.active () then
     Sanitizer_hook.emit (Sanitizer_hook.Task_started { task = root.name });

@@ -159,7 +159,7 @@ type child_state =
 type rtask =
   { uid : int
   ; node : int
-  ; mutable base : Ws.Versions.t
+  ; mutable base : (int * int) list (* wire id -> revision at spawn / last sync *)
   ; mutable cstate : child_state
   ; mutable aborted : bool
   }
@@ -188,7 +188,9 @@ let spawn ctx ?node task ~argument =
     | None -> Atomic.fetch_and_add cluster.next_node 1 mod Array.length cluster.nodes
   in
   let uid = Atomic.fetch_and_add cluster.next_uid 1 in
-  let child = { uid; node; base = Ws.snapshot ctx.ws; cstate = Live; aborted = false } in
+  let child =
+    { uid; node; base = Registry.revisions cluster.registry ctx.ws; cstate = Live; aborted = false }
+  in
   ctx.children <- ctx.children @ [ child ];
   Obs.Metrics.incr m_remote_spawns;
   (* The spawn's trace context crosses the wire with the Spawn frame, so
@@ -288,15 +290,18 @@ let default_validate _ = true
    workspace, so this is the remote analogue of validating the child's
    data. *)
 let try_merge ctx child journal ~validate =
-  let cluster = ctx.cluster in
+  let merge into =
+    let base_rev id = Option.value ~default:0 (List.assoc_opt id child.base) in
+    ignore (Registry.merge_edit ctx.cluster.registry ~into ~base_rev journal)
+  in
   match
     if validate == default_validate then begin
-      Registry.merge_journal cluster.registry ~into:ctx.ws ~base:child.base journal;
+      merge ctx.ws;
       true
     end
     else begin
       let trial = Ws.clone_full ctx.ws in
-      Registry.merge_journal cluster.registry ~into:trial ~base:child.base journal;
+      merge trial;
       if validate trial then begin
         Ws.adopt ctx.ws ~from:trial;
         true
@@ -327,7 +332,7 @@ let process ?(validate = default_validate) ctx child ev =
     Obs.Metrics.incr m_remote_syncs;
     if not granted then Obs.Metrics.incr m_remote_refusals;
     obs_merge_child child ~journal ~outcome:(if granted then "merged" else "refused");
-    child.base <- Ws.snapshot ctx.ws;
+    child.base <- Registry.revisions cluster.registry ctx.ws;
     send_down cluster child.node
       (Wire.Reply { uid = child.uid; granted; snapshot = Registry.encode_snapshot cluster.registry ctx.ws })
   | Wire.Task_completed { journal; _ } ->

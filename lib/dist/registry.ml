@@ -105,7 +105,7 @@ let encode_journal t ws =
         | ops -> Some (rk.wire_id, Sm_util.Codec.encode rk.journal_codec (rk.compact ops))
       else None)
 
-(* --- shard sync (delta journals, per-wire-id revisions) --------------------- *)
+(* --- per-wire-id revisions: remote merges and shard delta sync -------------- *)
 
 let applied_ops = Sm_obs.Metrics.counter "registry.applied_delta_ops"
 
@@ -169,9 +169,3 @@ let merge_edit t ~into ~base_rev entries =
       Ws.merge_ops into rk.wkey ~ops ~base_version:(base_rev id);
       acc + List.length ops)
     0 entries
-
-let merge_journal t ~into ~base entries =
-  ignore
-    (merge_edit t ~into entries ~base_rev:(fun id ->
-         let (V rk) = find_value t id in
-         Ws.version_in base rk.wkey))

@@ -88,21 +88,12 @@ val encode_journal : t -> Sm_mergeable.Workspace.t -> (int * string) list
     raw journal, usually shorter).  One encoding serves a {!Node}'s journal
     upload and a shard client's pending batch. *)
 
-val merge_journal :
-  t ->
-  into:Sm_mergeable.Workspace.t ->
-  base:Sm_mergeable.Workspace.Versions.t ->
-  (int * string) list ->
-  unit
-(** Decode a remote journal and OT-merge it into [into] against [base] —
-    the distributed counterpart of {!Sm_mergeable.Workspace.merge_child}. *)
+(** {1 Revisions and delta sync (used by {!Coordinator} and {!Sm_shard})}
 
-(** {1 Delta sync (used by {!Sm_shard})}
-
-    Shard sync addresses values by per-wire-id integer revisions (a value's
-    revision is its {!Sm_mergeable.Workspace.version_of}), not by the
-    workspace-keyed {!Sm_mergeable.Workspace.Versions.t} the coordinator
-    protocol uses — clients only ever see wire ids. *)
+    Remote merges and shard sync address values by per-wire-id integer
+    revisions (a value's revision is its
+    {!Sm_mergeable.Workspace.version_of}): remote tasks and clients only
+    ever see wire ids. *)
 
 val revisions : t -> Sm_mergeable.Workspace.t -> (int * int) list
 (** [(wire_id, revision)] for every registered-and-bound value. *)
@@ -143,11 +134,13 @@ val merge_edit :
   base_rev:(int -> int) ->
   (int * string) list ->
   int
-(** OT-merge a client's pending operations, recorded against revision
-    [base_rev wire_id] of each value, into the shard's authoritative
-    workspace — {!merge_journal} with integer bases.  Returns the number of
-    operations merged (summed across entries), which the shard's conflict
-    profiler attributes per document by calling this entry-by-entry. *)
+(** Decode remote operations, recorded against revision [base_rev wire_id]
+    of each value, and OT-merge them into [into] — the distributed
+    counterpart of {!Sm_mergeable.Workspace.merge_child}, for a shard
+    client's pending batch and a remote task's journal alike.  Returns the
+    number of operations merged (summed across entries), which the shard's
+    conflict profiler attributes per document by calling this
+    entry-by-entry. *)
 
 val find_task : t -> string -> ctx -> unit
 (** @raise Not_found for unregistered task names. *)

@@ -25,14 +25,25 @@ module Keyset = struct
     ; tree : Stree.handle
     }
 
+  (* What every key's data module becomes: the clean module, a seeded
+     transform bug, or the uncompacted reference. *)
+  type variant =
+    | Clean
+    | Mutated of Sm_check.Mutate.kind
+    | Uncompacted
+
   let wrap : type s o.
-      Sm_check.Mutate.kind option ->
+      variant ->
       (module Sm_mergeable.Data.S with type state = s and type op = o) ->
       (module Sm_mergeable.Data.S with type state = s and type op = o) =
-   fun mutate data -> match mutate with None -> data | Some k -> Sm_check.Mutate.wrap_data k data
+   fun variant data ->
+    match variant with
+    | Clean -> data
+    | Mutated k -> Sm_check.Mutate.wrap_data k data
+    | Uncompacted -> Sm_check.Uncompacted.wrap data
 
-  let make ?mutate () =
-    let key data name = Ws.create_key (wrap mutate data) ~name in
+  let make variant =
+    let key data name = Ws.create_key (wrap variant data) ~name in
     { counter = key (module Sm_mergeable.Mcounter.Data) "fuzz.counter"
     ; register = key (module Sreg.Data) "fuzz.register"
     ; text = key (module Sm_mergeable.Mtext.Data) "fuzz.text"
@@ -44,15 +55,17 @@ module Keyset = struct
     ; tree = key (module Stree.Data) "fuzz.tree"
     }
 
-  let default_keys = lazy (make ())
+  let default_keys = lazy (make Clean)
   let default () = Lazy.force default_keys
+  let uncompacted_keys = lazy (make Uncompacted)
+  let uncompacted () = Lazy.force uncompacted_keys
   let mutated_keys : (Sm_check.Mutate.kind, t) Hashtbl.t = Hashtbl.create 4
 
   let mutated kind =
     match Hashtbl.find_opt mutated_keys kind with
     | Some t -> t
     | None ->
-      let t = make ~mutate:kind () in
+      let t = make (Mutated kind) in
       Hashtbl.add mutated_keys kind t;
       t
 

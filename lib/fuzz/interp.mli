@@ -24,6 +24,11 @@ module Keyset : sig
   (** A keyset whose nine [Data] modules carry the mutated transform
       (memoized per kind). *)
 
+  val uncompacted : unit -> t
+  (** A keyset whose nine [Data] modules merge raw journals
+      ({!Sm_check.Uncompacted}) — the reference side of the [compaction]
+      oracle (memoized). *)
+
   val counter_value : Sm_mergeable.Workspace.t -> t -> int
   (** The fuzz counter's current value — what generated [?validate]
       predicates judge. *)

@@ -84,15 +84,8 @@ let determinism_oracle env keys prog baseline ~runs =
     go 0
   end
 
-let compaction_oracle keys prog baseline =
-  let was = Ws.compaction_enabled () in
-  let d =
-    Fun.protect
-      ~finally:(fun () -> Ws.set_compaction was)
-      (fun () ->
-        Ws.set_compaction false;
-        coop_digest keys prog)
-  in
+let compaction_oracle prog baseline =
+  let d = coop_digest (Interp.Keyset.uncompacted ()) prog in
   if d <> baseline then
     fail "compaction" "compaction-off digest %s <> on %s" (short d) (short baseline)
   else Ok ()
@@ -155,7 +148,7 @@ let check ?focus ?(runs = 3) ?mutate env prog =
     [ ("crash", fun () -> crash_oracle env keys prog baseline)
     ; ("differential", fun () -> differential_oracle prog base mutate)
     ; ("determinism", fun () -> determinism_oracle env keys prog base ~runs)
-    ; ("compaction", fun () -> compaction_oracle keys prog base)
+    ; ("compaction", fun () -> compaction_oracle prog base)
     ; ("detsan", fun () -> detsan_oracle env keys prog)
     ; ("trace", fun () -> trace_oracle keys prog)
     ; ("replay", fun () -> replay_oracle env keys prog)

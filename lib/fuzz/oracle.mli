@@ -15,8 +15,8 @@
       identically across repeated threaded runs on 2-domain and 1-domain
       executors, all equal to the cooperative reference
       ({!Sm_core.Detcheck} with shared executors).
-    - ["compaction"]: the digest is invariant under
-      {!Sm_mergeable.Workspace.set_compaction} off.
+    - ["compaction"]: the run over {!Interp.Keyset.uncompacted} (raw
+      journal merges, same key names) digests identically.
     - ["detsan"]: deterministic programs run {!Sm_check.Detsan}-clean — the
       interpreter's merge epilogue and module-level keys make any hazard a
       real bug.

@@ -29,9 +29,10 @@ end
 let cow_hits = Sm_obs.Metrics.counter "ws.cow_hits"
 
 (* A cell holds one mergeable value as an immutable snapshot plus the journal
-   of operations applied since the cell was created or last rebased.
-   [offset] counts journal entries dropped by [truncate]; the cell's version
-   is [offset + length journal].  [state] materializes the value only up to
+   of operations applied since the cell was created or last shared.
+   [offset] is the version the journal starts at: the source's version at a
+   trimmed share, advanced by truncation and trimming; the cell's version is
+   [offset + length journal].  [state] materializes the value only up to
    [applied] (an absolute version, [offset <= applied <= version]): merges
    append transformed journal entries without touching [state], and the
    suffix [applied .. version) is folded in lazily by [force] at the next
@@ -62,6 +63,14 @@ type packed = P : ('s, 'o) key * ('s, 'o) cell -> packed
 type t =
   { uid : int  (** process-unique, for sanitizer provenance only *)
   ; mutable cells : packed Imap.t
+  ; mutable base : int Imap.t
+        (** The parent versions (key id -> version) this workspace's journals
+            are relative to: the parent's at Spawn or last Sync, empty for a
+            root.  Only the share points write it: [copy] and the clones
+            before anyone else holds the result, and [rebase_from] in the
+            parent, under the runtime lock, with the child parked.
+            [truncate_to_min] reads only [base] fields, never a running
+            child's cells. *)
   }
 
 let next_key_id = Atomic.make 0
@@ -82,31 +91,8 @@ let create_key (type s o) (module D : Data.S with type state = s and type op = o
 
 let key_name k = k.name
 
-module Versions = struct
-  type t = int Imap.t
-
-  let empty = Imap.empty
-  let find id (t : t) = Option.value ~default:0 (Imap.find_opt id t)
-
-  let pp ppf (t : t) =
-    Format.fprintf ppf "{%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-         (fun ppf (id, v) -> Format.fprintf ppf "%d:%d" id v))
-      (Imap.bindings t)
-end
-
-(* Journal compaction before transform.  Default on: compacted journals are
-   apply-equivalent to the raw ones on every state (the lib/check
-   compaction-equivalence property verifies this per op module), so the
-   merged states and digests are unchanged while the transform cross gets
-   shorter sequences.  Runtime-switchable so equivalence can be asserted
-   end-to-end by diffing digests with the flag off. *)
-let compaction = Atomic.make true
-let set_compaction on = Atomic.set compaction on
-let compaction_enabled () = Atomic.get compaction
-
-let create () = { uid = Atomic.fetch_and_add next_ws_uid 1; cells = Imap.empty }
+let fresh_uid () = Atomic.fetch_and_add next_ws_uid 1
+let create () = { uid = fresh_uid (); cells = Imap.empty; base = Imap.empty }
 
 let find_cell (type s o) (t : t) (k : (s, o) key) : (s, o) cell option =
   match Imap.find_opt k.id t.cells with
@@ -194,7 +180,6 @@ let version_of t k = cell_version (get_cell t k)
 
 let key_names t = List.map (fun (_, P (k, _)) -> k.name) (Imap.bindings t.cells)
 
-let version_in versions k = Versions.find k.id versions
 let journal t k = Sm_util.Vec.to_list (get_cell t k).journal
 
 let journal_since t k ~version =
@@ -206,68 +191,46 @@ let journal_since t k ~version =
   else if version >= cell_version c then []
   else Sm_util.Vec.slice c.journal ~from:(version - c.offset)
 
-let snapshot t = Imap.map (fun (P (_, c)) -> cell_version c) t.cells
+let versions t = Imap.map (fun (P (_, c)) -> cell_version c) t.cells
 
 let op_count t =
   Imap.fold (fun _ (P (_, c)) acc -> acc + Sm_util.Vec.length c.journal) t.cells 0
 
 (* Copy-on-write sharing at spawn/clone/rebase: children alias the parent's
    (persistent) state snapshots, so sharing a workspace is O(cells)
-   regardless of state size.  The state a share point hands out is
-   materialized and aliased, with both sides marked shared so the first
-   write on either is visible as a cow hit. *)
-let share_state k c =
+   regardless of state size.  Both sides are marked shared so the first
+   write on either is visible as a cow hit.  A trimmed share materializes
+   the state and starts an empty journal at the source's version. *)
+let share_trimmed (P (k, c)) =
   force k c;
   c.shared <- true;
-  c.state
-
-let fresh_copy (P (k, c)) =
+  let version = cell_version c in
   P
     ( k
-    , { state = share_state k c
-      ; applied = 0
+    , { state = c.state
+      ; applied = version
       ; journal = Sm_util.Vec.create ()
-      ; offset = 0
+      ; offset = version
       ; shared = true
       } )
 
-let copy t = { uid = Atomic.fetch_and_add next_ws_uid 1; cells = Imap.map fresh_copy t.cells }
+(* A full share carries the journal and its offset, so the unapplied tail
+   travels with the copy and needs no materialization: only the [applied]
+   state is aliased. *)
+let share_full (P (k, c)) =
+  c.shared <- true;
+  P
+    ( k
+    , { state = c.state
+      ; applied = c.applied
+      ; journal = Sm_util.Vec.copy c.journal
+      ; offset = c.offset
+      ; shared = true
+      } )
 
-let clone_full t =
-  { uid = Atomic.fetch_and_add next_ws_uid 1
-  ; cells =
-      Imap.map
-        (fun (P (k, c)) ->
-          (* The journal suffix travels with the clone, so the unapplied tail
-             needs no materialization: only the [applied] snapshot is shared. *)
-          c.shared <- true;
-          P
-            ( k
-            , { state = c.state
-              ; applied = c.applied
-              ; journal = Sm_util.Vec.copy c.journal
-              ; offset = c.offset
-              ; shared = true
-              } ))
-        t.cells
-  }
-
-let clone_trimmed t =
-  { uid = Atomic.fetch_and_add next_ws_uid 1
-  ; cells =
-      Imap.map
-        (fun (P (k, c)) ->
-          let version = cell_version c in
-          P
-            ( k
-            , { state = share_state k c
-              ; applied = version
-              ; journal = Sm_util.Vec.create ()
-              ; offset = version
-              ; shared = true
-              } ))
-        t.cells
-  }
+let copy t = { uid = fresh_uid (); cells = Imap.map share_trimmed t.cells; base = versions t }
+let clone_full t = { uid = fresh_uid (); cells = Imap.map share_full t.cells; base = t.base }
+let clone_trimmed t = { uid = fresh_uid (); cells = Imap.map share_trimmed t.cells; base = t.base }
 
 let adopt t ~from = t.cells <- from.cells
 
@@ -279,7 +242,7 @@ let integrate (type s o) (k : (s, o) key) ~(parent : (s, o) cell) ~(ops : o list
       (Printf.sprintf "Workspace.merge_child: journal of %S truncated past child base (%d < %d)"
          k.name base_version parent.offset);
   let parent_since = Sm_util.Vec.slice parent.journal ~from:(base_version - parent.offset) in
-  let ops = if Atomic.get compaction then C.compact ops else ops in
+  let ops = C.compact ops in
   let ops' = C.transform_seq ops ~against:parent_since ~tie:Sm_ot.Side.serialization in
   (* Lazy materialization: the merged operations land in the journal only.
      The parent's state catches up in [force] at its next observation — so a
@@ -287,21 +250,19 @@ let integrate (type s o) (k : (s, o) key) ~(parent : (s, o) cell) ~(ops : o list
      deep spawn tree) never pays an apply for the ops flowing through it. *)
   Sm_util.Vec.append_list parent.journal ops'
 
-let merge_cell k ~parent ~child ~base_version =
-  integrate k ~parent ~ops:(Sm_util.Vec.to_list child.journal) ~base_version
-
 let merge_ops t k ~ops ~base_version = integrate k ~parent:(get_cell t k) ~ops ~base_version
 
-let merge_child ~parent ~child ~base =
+let merge_child ~parent ~child =
   (* Key-id order = creation order: deterministic merge of multi-key
      workspaces. *)
   Imap.iter
-    (fun id (P (k, child_cell)) ->
+    (fun id (P (k, child_cell) as packed) ->
       match Imap.find_opt id parent.cells with
       | Some (P (_, _)) ->
-        let parent_cell = get_cell parent k in
-        if Imap.mem id base then
-          merge_cell k ~parent:parent_cell ~child:child_cell ~base_version:(Versions.find id base)
+        if Imap.mem id child.base then
+          integrate k ~parent:(get_cell parent k)
+            ~ops:(Sm_util.Vec.to_list child_cell.journal)
+            ~base_version:(Imap.find id child.base)
         else
           (* The child initialized a key the parent also has: either the
              parent initialized it independently (conflict) or gained it from
@@ -313,27 +274,28 @@ let merge_child ~parent ~child ~base =
            child may keep mutating its own cell until it terminates; the
            journal is copied and the snapshot shared — persistent applies
            keep the alias safe). *)
-        child_cell.shared <- true;
-        let detached =
-          { state = child_cell.state
-          ; applied = child_cell.applied
-          ; journal = Sm_util.Vec.copy child_cell.journal
-          ; offset = child_cell.offset
-          ; shared = true
-          }
-        in
-        parent.cells <- Imap.add id (P (k, detached)) parent.cells)
+        parent.cells <- Imap.add id (share_full packed) parent.cells)
     child.cells
 
-let rebase_from t ~parent = t.cells <- Imap.map fresh_copy parent.cells
+let rebase_from t ~parent =
+  t.cells <- Imap.map share_trimmed parent.cells;
+  t.base <- versions parent
 
 let is_pristine t =
   Imap.for_all (fun _ (P (_, c)) -> Sm_util.Vec.length c.journal = 0) t.cells
 
-let truncate t ~keep =
+(* Drop each journal's prefix older than the oldest version any live child's
+   base still refers to; children whose base lacks the key never merge it,
+   so they impose no floor. *)
+let truncate_to_min t ~children =
   Imap.iter
     (fun id (P (_, c)) ->
-      let keep_from = Versions.find id keep in
+      let keep_from =
+        List.fold_left
+          (fun acc child ->
+            match Imap.find_opt id child.base with None -> acc | Some v -> min acc v)
+          (cell_version c) children
+      in
       (* Never drop past [applied]: the unmaterialized suffix is still needed
          to force the state.  Those entries fall to a later truncation, once
          an observation has folded them in. *)
@@ -345,19 +307,6 @@ let truncate t ~keep =
         c.offset <- c.offset + drop
       end)
     t.cells
-
-let truncate_to_min t ~bases =
-  let keep =
-    Imap.mapi
-      (fun id (P (_, c)) ->
-        (* The oldest version any child's base still refers to; children whose
-           base lacks the key never merge it, so they impose no floor. *)
-        List.fold_left
-          (fun acc base -> match Imap.find_opt id base with None -> acc | Some v -> min acc v)
-          (cell_version c) bases)
-      t.cells
-  in
-  truncate t ~keep
 
 let digest t =
   if Sanitizer_hook.active () then Sanitizer_hook.emit (Sanitizer_hook.Digested { ws_id = t.uid });

@@ -2,14 +2,15 @@
     journals — the data side of Spawn and Merge.
 
     Every task owns one workspace.  [Spawn] hands the child a {!copy} (fresh
-    journals, shared persistent states) together with the parent's version
-    {!snapshot}; while running, tasks mutate {e only their own} workspace
-    through {!update}, which both applies the operation and records it in the
-    value's journal.  [Merge] then calls {!merge_child}: each child journal is
-    transformed (operational transformation, {!Sm_ot.Side.serialization}
-    policy) against whatever the parent applied since the child's base
-    version, and appended to the parent.  [Sync] re-bases the child with
-    {!rebase_from}.
+    journals, shared persistent states), which records the parent's versions
+    as the child's {e base}; while running, tasks mutate {e only their own}
+    workspace through {!update}, which both applies the operation and
+    records it in the value's journal.  [Merge] then calls {!merge_child}:
+    each child journal is transformed (operational transformation,
+    {!Sm_ot.Side.serialization} policy) against whatever the parent applied
+    since the child's base, and appended to the parent.  [Sync] re-bases
+    the child with {!rebase_from}, which records the new base.  The base
+    travels with the workspace, so no caller carries it beside the copy.
 
     Workspaces are deliberately {b not} thread-safe: the Spawn/Merge runtime
     guarantees each workspace is touched by one thread at a time (its owning
@@ -52,19 +53,6 @@ exception Already_bound of string
 (** Raised by {!init} when the key is already bound, and by {!merge_child}
     when parent and child independently initialized the same key. *)
 
-module Versions : sig
-  type t
-  (** Per-key journal positions — "how much of each value's history I have
-      seen".  A child's {e base} is the parent's snapshot at spawn/sync
-      time. *)
-
-  val empty : t
-  val pp : Format.formatter -> t -> unit
-end
-
-val version_in : Versions.t -> _ key -> int
-(** The recorded version for a key ([0] when absent). *)
-
 val create_key :
   (module Data.S with type state = 's and type op = 'o) -> name:string -> ('s, 'o) key
 (** Mint a key for a mergeable type.  [name] is diagnostic. *)
@@ -72,7 +60,7 @@ val create_key :
 val key_name : _ key -> string
 
 val create : unit -> t
-(** An empty workspace. *)
+(** An empty workspace with an empty base (a root). *)
 
 val init : t -> ('s, 'o) key -> 's -> unit
 (** Bind a key to an initial state with an empty journal.  Initialization is
@@ -96,7 +84,9 @@ val update_trimming : t -> ('s, 'o) key -> 'o -> unit
     journalling those would grow every replica with the full history. *)
 
 val version_of : t -> _ key -> int
-(** Total operations ever applied to this value in this workspace. *)
+(** The value's version: operations applied to it, counted from its
+    source's version at the last share point ([0] for a value bound with
+    {!init}). *)
 
 val journal : t -> ('s, 'o) key -> 'o list
 (** The value's recorded operations (since creation, rebase, or the last
@@ -106,15 +96,12 @@ val journal_since : t -> ('s, 'o) key -> version:int -> 'o list
 (** The value's operations after [version] — the delta a replica that has
     seen [version] operations still needs.  [\[\]] when the replica is
     current ([version >= version_of]).
-    @raise Invalid_argument if [version] predates the truncation point
-    ({!truncate}) — the suffix is no longer available and the caller must
-    fall back to a snapshot. *)
+    @raise Invalid_argument if [version] predates the journal's start (a
+    trimmed share, {!update_trimming} or {!truncate_to_min}) — the suffix is
+    no longer available and the caller must fall back to a snapshot. *)
 
 val key_names : t -> string list
 (** Names of bound keys, in deterministic (creation-id) order. *)
-
-val snapshot : t -> Versions.t
-(** Current version of every bound key. *)
 
 val op_count : t -> int
 (** Total journalled (not yet truncated) operations across every bound key —
@@ -124,32 +111,22 @@ val cell_count : t -> int
 (** Number of bound keys — the [O(cells)] in "spawn is O(cells)". *)
 
 val copy : t -> t
-(** Child copy: same bindings and states, empty journals.  O(bindings) —
+(** Child copy (Spawn): same bindings and states, empty journals starting at
+    the source's versions, which become the copy's base.  O(bindings) —
     the persistent states are shared, not deep-copied, so "copying" a
     workspace is cheap and copy-on-write comes for free (the paper's
     future-work optimization falls out of persistent data structures). *)
 
-val merge_child : parent:t -> child:t -> base:Versions.t -> unit
-(** Merge a child's journals into the parent.  [base] must be the parent
-    snapshot taken when the child's journals were last empty (spawn or
-    sync).  For each key bound in both: compact the child's journal (when
-    {!compaction_enabled}), transform it against the parent's operations
-    since [base] and journal the result in the parent (the parent's state
+val merge_child : parent:t -> child:t -> unit
+(** Merge a child's journals into the parent, against the child's base (the
+    parent's versions when the child's journals were last empty: spawn or
+    sync).  For each key bound in both: compact the child's journal with
+    its type's [compact], transform it against the parent's operations since
+    the base and journal the result in the parent (the parent's state
     catches up lazily at its next observation).  Keys the
     child initialized itself are installed in the parent ({!Already_bound}
     if the parent initialized them too); keys the parent gained since spawn
-    are untouched.  Deterministic given [base] and both journals. *)
-
-val set_compaction : bool -> unit
-(** Toggle journal compaction inside {!merge_child}/{!merge_ops} (process
-    global, default on).  Compaction rewrites each child journal to an
-    apply-equivalent normal form before transformation, so merged states and
-    digests are identical either way.  The uncompacted merge is the
-    reference side of sm-check's compaction, merge-order and nested
-    properties. *)
-
-val compaction_enabled : unit -> bool
-(** Current {!set_compaction} setting. *)
+    are untouched.  Deterministic given the base and both journals. *)
 
 val cow_hits : Sm_obs.Metrics.counter
 (** [ws.cow_hits] — cells whose snapshot pointer diverged from a base
@@ -158,18 +135,19 @@ val cow_hits : Sm_obs.Metrics.counter
     copy).  Counted at most once per cell per sharing window. *)
 
 val clone_full : t -> t
-(** A complete clone: states, journals and truncation offsets.  Unlike
-    {!copy} (which starts a child at an empty journal), the clone carries
-    the full history, so version bases recorded against the original remain
-    meaningful — the substrate for transactional trial merges. *)
+(** A complete clone: states, journals, truncation offsets and base.
+    Unlike {!copy} (which starts a child at an empty journal), the clone
+    carries the full history, so versions recorded against the original
+    remain meaningful — the substrate for transactional trial merges. *)
 
 val clone_trimmed : t -> t
 (** Like {!clone_full} with the journal truncated at the head: states are
-    shared (persistent), versions are preserved, and the journal starts
-    empty at the current version — O(values) regardless of history length.
-    The clone answers {!journal_since} only from the cloning point onward;
-    use it when past operations are not needed, e.g. for a replica's working
-    view whose pending-op suffix is all that is ever read back. *)
+    shared (persistent), versions and the base are preserved, and the
+    journal starts empty at the current version — O(values) regardless of
+    history length.  The clone answers {!journal_since} only from the
+    cloning point onward; use it when past operations are not needed, e.g.
+    for a replica's working view whose pending-op suffix is all that is
+    ever read back, or a [Clone]d sibling of a pristine task. *)
 
 val adopt : t -> from:t -> unit
 (** Replace this workspace's bindings with [from]'s (shared, not copied):
@@ -188,24 +166,21 @@ val merge_ops : t -> ('s, 'o) key -> ops:'o list -> base_version:int -> unit
 
 val rebase_from : t -> parent:t -> unit
 (** Make the child's bindings fresh copies of the parent's (states shared,
-    journals empty) — the data half of [Sync].  The caller should then take
-    a new parent {!snapshot} as the child's base. *)
+    journals empty) and the parent's versions its base — the data half of
+    [Sync]. *)
 
 val is_pristine : t -> bool
 (** True when every journal is empty — the workspace holds no unmerged local
     operations.  [Clone] requires a pristine cloner so the sibling's base is
     meaningful. *)
 
-val truncate : t -> keep:Versions.t -> unit
-(** Drop journal prefixes older than [keep] (the minimum base of any live
-    child, as computed by the runtime), bounding memory on long-running
-    tasks.  Merging a child whose base predates the truncation point raises
-    [Invalid_argument]. *)
-
-val truncate_to_min : t -> bases:Versions.t list -> unit
-(** Truncate each journal to the oldest position any of [bases] still needs;
-    keys absent from every base truncate fully.  The runtime calls this after
-    merges with the bases of the remaining live children. *)
+val truncate_to_min : t -> children:t list -> unit
+(** Drop each journal's prefix older than the oldest version any of
+    [children]'s bases still needs; keys absent from every base truncate
+    fully.  Bounds memory on long-running tasks: the runtime calls this
+    after merges with the workspaces of the remaining live children, and
+    reads only their bases.  Merging a child whose base predates the
+    truncation point raises [Invalid_argument]. *)
 
 val digest : t -> string
 (** Order-insensitive-to-nothing: a deterministic hex digest of every bound

@@ -66,35 +66,32 @@ let listing1_merge () =
   let k = Mlist.key ~name:"listing1" in
   let ws = Ws.create () in
   Ws.init ws k [ "1"; "2"; "3" ];
-  let base = Ws.snapshot ws in
   let child = Ws.copy ws in
   Mlist.append child k "5";
   Mlist.append ws k "4";
-  Ws.merge_child ~parent:ws ~child ~base;
+  Ws.merge_child ~parent:ws ~child;
   Alcotest.(check (list string)) "merged" [ "1"; "2"; "3"; "4"; "5" ] (Ws.read ws k)
 
 let two_children_merge_order () =
   let k = Mlist.key ~name:"order" in
   let ws = Ws.create () in
   Ws.init ws k [];
-  let base = Ws.snapshot ws in
   let c1 = Ws.copy ws and c2 = Ws.copy ws in
   Mlist.append c1 k "first";
   Mlist.append c2 k "second";
-  Ws.merge_child ~parent:ws ~child:c1 ~base;
-  Ws.merge_child ~parent:ws ~child:c2 ~base;
+  Ws.merge_child ~parent:ws ~child:c1;
+  Ws.merge_child ~parent:ws ~child:c2;
   Alcotest.(check (list string)) "merge order" [ "first"; "second" ] (Ws.read ws k)
 
 let register_last_merged_wins () =
   let k = Mregister.key ~name:"reg" in
   let ws = Ws.create () in
   Ws.init ws k "initial";
-  let base = Ws.snapshot ws in
   let c1 = Ws.copy ws and c2 = Ws.copy ws in
   Mregister.set c1 k "from-c1";
   Mregister.set c2 k "from-c2";
-  Ws.merge_child ~parent:ws ~child:c1 ~base;
-  Ws.merge_child ~parent:ws ~child:c2 ~base;
+  Ws.merge_child ~parent:ws ~child:c1;
+  Ws.merge_child ~parent:ws ~child:c2;
   Alcotest.(check string) "later merged wins" "from-c2" (Ws.read ws k)
 
 let rebase_and_sync_cycle () =
@@ -102,14 +99,12 @@ let rebase_and_sync_cycle () =
   let ws = Ws.create () in
   Ws.init ws k 0;
   let child = Ws.copy ws in
-  let base = ref (Ws.snapshot ws) in
   (* two sync rounds: child adds 1 per round, parent adds 10 per round *)
   for _ = 1 to 2 do
     Mcounter.incr child k;
     Mcounter.add ws k 10;
-    Ws.merge_child ~parent:ws ~child ~base:!base;
-    Ws.rebase_from child ~parent:ws;
-    base := Ws.snapshot ws
+    Ws.merge_child ~parent:ws ~child;
+    Ws.rebase_from child ~parent:ws
   done;
   Alcotest.(check int) "parent total" 22 (Ws.read ws k);
   Alcotest.(check int) "child sees fresh copy" 22 (Ws.read child k);
@@ -120,39 +115,36 @@ let key_created_in_child () =
   let fresh = Mcounter.key ~name:"child-key" in
   let ws = Ws.create () in
   Ws.init ws k [];
-  let base = Ws.snapshot ws in
   let child = Ws.copy ws in
   Ws.init child fresh 7;
   Mcounter.incr child fresh;
-  Ws.merge_child ~parent:ws ~child ~base;
+  Ws.merge_child ~parent:ws ~child;
   Alcotest.(check int) "installed in parent" 8 (Ws.read ws fresh);
   (* a second child that also initialized it conflicts *)
   let conflicting = Ws.create () in
   Ws.init conflicting fresh 0;
   Alcotest.check_raises "conflicting init" (Ws.Already_bound "child-key") (fun () ->
-      Ws.merge_child ~parent:ws ~child:conflicting ~base:Ws.Versions.empty)
+      Ws.merge_child ~parent:ws ~child:conflicting)
 
 let truncation () =
   let k = Mcounter.key ~name:"t" in
   let ws = Ws.create () in
   Ws.init ws k 0;
   (* a child taken before any parent activity: version-0 base *)
-  let stale_base = Ws.snapshot ws in
   let stale_child = Ws.copy ws in
   Mcounter.incr stale_child k;
   for _ = 1 to 10 do
     Mcounter.incr ws k
   done;
-  let base = Ws.snapshot ws in
   let child = Ws.copy ws in
   Mcounter.add child k 5;
   (* keep only what the recent child needs *)
-  Ws.truncate_to_min ws ~bases:[ base ];
-  Ws.merge_child ~parent:ws ~child ~base;
+  Ws.truncate_to_min ws ~children:[ child ];
+  Ws.merge_child ~parent:ws ~child;
   Alcotest.(check int) "merge after safe truncation" 15 (Ws.read ws k);
   (* the stale child's base now points into the truncated prefix *)
   check_bool "merge with pre-truncation base raises"
-    (match Ws.merge_child ~parent:ws ~child:stale_child ~base:stale_base with
+    (match Ws.merge_child ~parent:ws ~child:stale_child with
     | () -> false
     | exception Invalid_argument _ -> true)
 
@@ -174,13 +166,12 @@ let custom_mergeable_type () =
   let k = Ws.create_key (module Max_register) ~name:"highwater" in
   let ws = Ws.create () in
   Ws.init ws k 0;
-  let base = Ws.snapshot ws in
   let c1 = Ws.copy ws and c2 = Ws.copy ws in
   Ws.update c1 k (Max_register.Raise_to 42);
   Ws.update c2 k (Max_register.Raise_to 17);
   Ws.update ws k (Max_register.Raise_to 5);
-  Ws.merge_child ~parent:ws ~child:c1 ~base;
-  Ws.merge_child ~parent:ws ~child:c2 ~base;
+  Ws.merge_child ~parent:ws ~child:c1;
+  Ws.merge_child ~parent:ws ~child:c2;
   Alcotest.(check int) "max of all raises" 42 (Ws.read ws k)
 
 (* --- per-structure helper coverage --------------------------------------- *)
@@ -224,12 +215,11 @@ let mstack_helpers () =
   Alcotest.(check (list int)) "rest" [ 1 ] (Mstack.get ws k);
   (* two children pop the same top: only one removal after merging *)
   Mstack.push ws k 7;
-  let base = Ws.snapshot ws in
   let c1 = Ws.copy ws and c2 = Ws.copy ws in
   Alcotest.(check (option int)) "c1 pops 7" (Some 7) (Mstack.pop c1 k);
   Alcotest.(check (option int)) "c2 pops 7" (Some 7) (Mstack.pop c2 k);
-  Ws.merge_child ~parent:ws ~child:c1 ~base;
-  Ws.merge_child ~parent:ws ~child:c2 ~base;
+  Ws.merge_child ~parent:ws ~child:c1;
+  Ws.merge_child ~parent:ws ~child:c2;
   Alcotest.(check (list int)) "one removal, 1 survives" [ 1 ] (Mstack.get ws k)
 
 let mcounter_helpers () =

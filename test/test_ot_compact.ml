@@ -8,8 +8,8 @@
    state-equal) to the textbook algorithm — asserted here against a local
    reference implementation over the enumerated corpora of lib/check, as
    golden per-module compaction cases, as transform-call accounting, and
-   end-to-end over randomized runtime spawn trees with the compaction flag
-   on and off, under both schedulers. *)
+   end-to-end over randomized runtime spawn trees merged through compacting
+   and uncompacted (Sm_check.Uncompacted) keys, under both schedulers. *)
 
 open Test_support
 module Check = Sm_check
@@ -24,11 +24,6 @@ module Mcounter = Sm_mergeable.Mcounter
 module Mtext = Sm_mergeable.Mtext
 module Mmap = Sm_mergeable.Mmap.Make (Str_elt) (Int_elt)
 module Mregister = Sm_mergeable.Mregister.Make (Str_elt)
-
-let with_compaction on f =
-  let saved = Ws.compaction_enabled () in
-  Ws.set_compaction on;
-  Fun.protect ~finally:(fun () -> Ws.set_compaction saved) f
 
 let with_metrics f =
   let saved = Metrics.is_enabled () in
@@ -220,9 +215,11 @@ let conflicting_children_transform_linearly () =
 
 (* --- workspace wiring ------------------------------------------------------ *)
 
-let compaction_default_on () = check_bool "compaction defaults to on" (Ws.compaction_enabled ())
+(* The uncompacted reference under a compacting key's name. *)
+let raw_key data ~name = Ws.create_key (Check.Uncompacted.wrap data) ~name
 
 let kt_metrics = Mtext.key ~name:"compact.metrics.text"
+let kt_metrics_raw = raw_key (module Mtext.Data) ~name:"compact.metrics.text"
 
 (* A journal-heavy merge through the real Workspace: 40 coalescible text
    appends against one concurrent parent edit.  Compaction must shrink the
@@ -230,45 +227,59 @@ let kt_metrics = Mtext.key ~name:"compact.metrics.text"
    identical state and digest as the uncompacted merge. *)
 let workspace_compacts_child_journals () =
   with_metrics @@ fun () ->
-  let run ~compaction =
-    with_compaction compaction @@ fun () ->
+  let run key =
     let parent = Ws.create () in
-    Mtext.init parent kt_metrics "";
-    let base = Ws.snapshot parent in
+    Mtext.init parent key "";
     let child = Ws.copy parent in
     for _ = 1 to 40 do
-      Mtext.append child kt_metrics "ab"
+      Mtext.append child key "ab"
     done;
-    Mtext.insert parent kt_metrics 0 "Z";
+    Mtext.insert parent key 0 "Z";
     let t0 = Metrics.value Control.transform_calls in
     let ci0 = Metrics.value Control.compact_in in
     let co0 = Metrics.value Control.compact_out in
-    Ws.merge_child ~parent ~child ~base;
-    ( Mtext.get parent kt_metrics
+    Ws.merge_child ~parent ~child;
+    ( Mtext.get parent key
     , Ws.digest parent
     , Metrics.value Control.transform_calls - t0
     , Metrics.value Control.compact_in - ci0
     , Metrics.value Control.compact_out - co0 )
   in
-  let s_on, d_on, t_on, ci_on, co_on = run ~compaction:true in
-  let s_off, d_off, t_off, ci_off, co_off = run ~compaction:false in
+  let s_on, d_on, t_on, ci_on, co_on = run kt_metrics in
+  let s_off, d_off, t_off, ci_off, co_off = run kt_metrics_raw in
   check_bool "merged states equal" (String.equal s_on s_off);
   check_bool "digests equal" (String.equal d_on d_off);
   Alcotest.(check int) "40 journal ops metered in" 40 ci_on;
   Alcotest.(check int) "1 op metered out" 1 co_on;
   Alcotest.(check int) "2 transform calls with compaction" 2 t_on;
   Alcotest.(check int) "80 transform calls without" 80 t_off;
-  check_bool "compaction off meters nothing" (ci_off = 0 && co_off = 0)
+  Alcotest.(check int) "the raw merge compacts nothing" ci_off co_off
 
 (* --- randomized runtime stress --------------------------------------------- *)
 
-(* keys minted once, at module level — the clean pattern DetSan enforces *)
-let kc = Mcounter.key ~name:"compact.stress.counter"
-let kt = Mtext.key ~name:"compact.stress.text"
-let km = Mmap.key ~name:"compact.stress.map"
-let kr = Mregister.key ~name:"compact.stress.reg"
+type stress_keys =
+  { kc : Mcounter.handle
+  ; kt : Mtext.handle
+  ; km : Mmap.handle
+  ; kr : Mregister.handle
+  }
 
-let random_ops rng w n =
+(* Keys minted once, at module level — the clean pattern DetSan enforces: a
+   compacting set and a raw set under the same names.  Minted in sequence
+   with [let ... in] (record fields evaluate right to left), so both sets
+   share the key-id order the digest folds in. *)
+let stress_keys ~compaction =
+  let key data ~name = if compaction then Ws.create_key data ~name else raw_key data ~name in
+  let kc = key (module Mcounter.Data) ~name:"compact.stress.counter" in
+  let kt = key (module Mtext.Data) ~name:"compact.stress.text" in
+  let km = key (module Mmap.Data) ~name:"compact.stress.map" in
+  let kr = key (module Mregister.Data) ~name:"compact.stress.reg" in
+  { kc; kt; km; kr }
+
+let compacting_keys = stress_keys ~compaction:true
+let raw_keys = stress_keys ~compaction:false
+
+let random_ops { kc; kt; km; kr } rng w n =
   for _ = 1 to n do
     match Rng.int rng ~bound:4 with
     | 0 -> Mcounter.add w kc (1 + Rng.int rng ~bound:5)
@@ -284,42 +295,41 @@ let random_ops rng w n =
    the seed: children journal mixed compactable runs, even children merge a
    grandchild of their own first, the root edits concurrently and merges in
    spawn order. *)
-let stress_program ~seed ctx =
+let stress_program keys ~seed ctx =
   let ws = Rt.workspace ctx in
-  Ws.init ws kc 0;
-  Mtext.init ws kt "";
-  Ws.init ws km Mmap.Op.Key_map.empty;
-  Ws.init ws kr "-";
+  Ws.init ws keys.kc 0;
+  Mtext.init ws keys.kt "";
+  Ws.init ws keys.km Mmap.Op.Key_map.empty;
+  Ws.init ws keys.kr "-";
   let rng = Rng.create ~seed in
   let spawn_child i =
     let child_seed = Int64.add (Int64.mul seed 1000L) (Int64.of_int i) in
     Rt.spawn ctx (fun c ->
         let crng = Rng.create ~seed:child_seed in
-        random_ops crng (Rt.workspace c) (4 + Rng.int crng ~bound:8);
+        random_ops keys crng (Rt.workspace c) (4 + Rng.int crng ~bound:8);
         if i land 1 = 0 then begin
           let g =
             Rt.spawn c (fun gc ->
                 let grng = Rng.create ~seed:(Int64.add child_seed 500L) in
-                random_ops grng (Rt.workspace gc) (3 + Rng.int grng ~bound:5))
+                random_ops keys grng (Rt.workspace gc) (3 + Rng.int grng ~bound:5))
           in
           Rt.merge_all_from_set c [ g ]
         end)
   in
   let handles = map_in_order spawn_child (2 + Rng.int rng ~bound:3) in
-  random_ops rng ws (3 + Rng.int rng ~bound:5);
+  random_ops keys rng ws (3 + Rng.int rng ~bound:5);
   Rt.merge_all_from_set ctx handles
 
-let stress_digest ~seed ~compaction =
-  with_compaction compaction @@ fun () ->
+let stress_digest keys ~seed =
   Rt.Coop.run (fun ctx ->
-      stress_program ~seed ctx;
+      stress_program keys ~seed ctx;
       Ws.digest (Rt.workspace ctx))
 
 let stress_digests_on_off () =
   for seed = 1 to 100 do
     let s = Int64.of_int seed in
-    let on = stress_digest ~seed:s ~compaction:true in
-    let off = stress_digest ~seed:s ~compaction:false in
+    let on = stress_digest compacting_keys ~seed:s in
+    let off = stress_digest raw_keys ~seed:s in
     if not (String.equal on off) then
       Alcotest.failf "seed %d: digest %s with compaction, %s without" seed on off
   done
@@ -330,13 +340,12 @@ let stress_cross_scheduler () =
   List.iter
     (fun seed ->
       List.iter
-        (fun compaction ->
+        (fun (compaction, keys) ->
           check_bool
             (Printf.sprintf "seed %Ld, compaction %b" seed compaction)
-            (with_compaction compaction (fun () ->
-                 Detcheck.cross_scheduler ~timeout_s:120. ~runs:2 ~executor:(Lazy.force executor)
-                   (stress_program ~seed))))
-        [ true; false ])
+            (Detcheck.cross_scheduler ~timeout_s:120. ~runs:2 ~executor:(Lazy.force executor)
+               (stress_program keys ~seed)))
+        [ (true, compacting_keys); (false, raw_keys) ])
     [ 1L; 2L; 5L; 8L ]
 
 let suite =
@@ -348,9 +357,8 @@ let suite =
       commuting_children_skip_transforms
   ; Alcotest.test_case "conflicting children transform linearly" `Quick
       conflicting_children_transform_linearly
-  ; Alcotest.test_case "compaction defaults to on" `Quick compaction_default_on
   ; Alcotest.test_case "workspace compacts child journals" `Quick workspace_compacts_child_journals
+  ; Alcotest.test_case "stress digests agree across schedulers" `Slow stress_cross_scheduler
   ; Alcotest.test_case "100 seeds: digests identical, compaction on vs off" `Quick
       stress_digests_on_off
-  ; Alcotest.test_case "stress digests agree across schedulers" `Slow stress_cross_scheduler
   ]

@@ -10,12 +10,14 @@ module Mlist = Sm_mergeable.Mlist.Make (Str_elt)
 module Mcounter = Sm_mergeable.Mcounter
 module Mregister = Sm_mergeable.Mregister.Make (Str_elt)
 module Mqueue = Sm_mergeable.Mqueue.Make (Int_elt)
+module Mtext = Sm_mergeable.Mtext
 
 (* Module-level keys so digests are comparable across runs. *)
 let kl = Mlist.key ~name:"list"
 let kc = Mcounter.key ~name:"counter"
 let kr = Mregister.key ~name:"register"
 let kq = Mqueue.key ~name:"queue"
+let kt = Mtext.key ~name:"text"
 
 let ms n = Thread.delay (float_of_int n /. 1000.0)
 
@@ -253,6 +255,26 @@ let clone_creates_sibling () =
       drain ();
       Alcotest.(check int) "two children retired" 2 !merged;
       Alcotest.(check int) "clone's work merged" 7 (Mcounter.get ws kc))
+
+(* A clone merges against its cloner's base, not the parent's current
+   versions (a counter sums the same under any base, so this uses text).
+   Under Coop the root's insert lands before the clone, so a sibling based
+   at the root's current versions would end at "Xasb". *)
+let clone_merges_against_cloner_base () =
+  let program ctx =
+    let ws = R.workspace ctx in
+    Mtext.init ws kt "ab";
+    ignore
+      (R.spawn ctx (fun task ->
+           ignore (R.clone task (fun sibling -> Mtext.append (R.workspace sibling) kt "s"))));
+    Mtext.insert ws kt 0 "X";
+    while R.has_children ctx do
+      R.merge_all ctx
+    done;
+    Mtext.get ws kt
+  in
+  Alcotest.(check string) "threaded" "Xabs" (R.run program);
+  Alcotest.(check string) "cooperative" "Xabs" (R.Coop.run program)
 
 let clone_requires_pristine () =
   R.run (fun ctx ->
@@ -497,4 +519,6 @@ let suite =
   ; Alcotest.test_case "abort: reaches a parked child" `Quick abort_sync_waiting_child
   ; Alcotest.test_case "merge_any_from_set: stays in subset" `Quick merge_any_from_set_subset_only
   ; Alcotest.test_case "digests invariant across domain counts" `Slow same_digest_across_domain_counts
+  ; Alcotest.test_case "clone: merges against the cloner's base" `Quick
+      clone_merges_against_cloner_base
   ]

@@ -44,7 +44,6 @@ let workspace_matches_control =
       let key = Mlist.key ~name:"prop" in
       let ws = Ws.create () in
       Ws.init ws key initial;
-      let base = Ws.snapshot ws in
       let child1 = Ws.copy ws and child2 = Ws.copy ws in
       apply_script ws key parent_script;
       apply_script child1 key s1;
@@ -52,8 +51,8 @@ let workspace_matches_control =
       let parent_ops = Ws.journal ws key in
       let ops1 = Ws.journal child1 key in
       let ops2 = Ws.journal child2 key in
-      Ws.merge_child ~parent:ws ~child:child1 ~base;
-      Ws.merge_child ~parent:ws ~child:child2 ~base;
+      Ws.merge_child ~parent:ws ~child:child1;
+      Ws.merge_child ~parent:ws ~child:child2;
       let expected =
         C.apply_seq initial
           (C.merge ~applied:parent_ops ~children:[ ops1; ops2 ] ~tie:Sm_ot.Side.serialization)
@@ -67,11 +66,10 @@ let rebase_reproduces_parent =
       let key = Mlist.key ~name:"prop-rebase" in
       let ws = Ws.create () in
       Ws.init ws key initial;
-      let base = Ws.snapshot ws in
       let child = Ws.copy ws in
       apply_script ws key parent_script;
       apply_script child key s1;
-      Ws.merge_child ~parent:ws ~child ~base;
+      Ws.merge_child ~parent:ws ~child;
       Ws.rebase_from child ~parent:ws;
       Ws.equal child ws && Ws.is_pristine child && Ws.digest child = Ws.digest ws)
 
@@ -82,11 +80,10 @@ let pristine_merge_is_noop =
       let key = Mlist.key ~name:"prop-noop" in
       let ws = Ws.create () in
       Ws.init ws key initial;
-      let base = Ws.snapshot ws in
       let child = Ws.copy ws in
       apply_script ws key parent_script;
       let before = Ws.digest ws in
-      Ws.merge_child ~parent:ws ~child ~base;
+      Ws.merge_child ~parent:ws ~child;
       Ws.digest ws = before)
 
 (* merge then truncate then merge another child with a fresh base: safe *)
@@ -96,19 +93,17 @@ let truncate_then_merge =
       let key = Mlist.key ~name:"prop-trunc" in
       let ws = Ws.create () in
       Ws.init ws key initial;
-      let base1 = Ws.snapshot ws in
       let child1 = Ws.copy ws in
       apply_script ws key parent_script;
       apply_script child1 key s1;
-      Ws.merge_child ~parent:ws ~child:child1 ~base:base1;
+      Ws.merge_child ~parent:ws ~child:child1;
       (* second child spawns from the post-merge state *)
-      let base2 = Ws.snapshot ws in
       let base2_state = Mlist.get ws key in
       let child2 = Ws.copy ws in
       apply_script child2 key s2;
       let ops2 = Ws.journal child2 key in
-      Ws.truncate_to_min ws ~bases:[ base2 ];
-      Ws.merge_child ~parent:ws ~child:child2 ~base:base2;
+      Ws.truncate_to_min ws ~children:[ child2 ];
+      Ws.merge_child ~parent:ws ~child:child2;
       (* the parent was quiescent after base2, so the merge is exactly
          child2's journal applied to the base2 state *)
       Mlist.get ws key = C.apply_seq base2_state ops2)
@@ -259,7 +254,6 @@ let clone_trimmed_chain () =
 let lazy_merge_materializes () =
   let ws = Ws.create () in
   Ws.init ws nk_lazy [ 0 ];
-  let base = Ws.snapshot ws in
   let child = Ws.copy ws in
   Mlist.append ws nk_lazy 1;
   Mlist.append child nk_lazy 2;
@@ -269,16 +263,15 @@ let lazy_merge_materializes () =
          ~children:[ Ws.journal child nk_lazy ]
          ~tie:Sm_ot.Side.serialization)
   in
-  Ws.merge_child ~parent:ws ~child ~base;
+  Ws.merge_child ~parent:ws ~child;
   check_int "merge journals without observing" 2 (Ws.version_of ws nk_lazy);
   check_bool "observation materializes the merged suffix" (Mlist.get ws nk_lazy = expected);
   (* a lazily merged suffix survives truncation: the clamp keeps everything
      at or above the applied watermark *)
-  let base2 = Ws.snapshot ws in
   let child2 = Ws.copy ws in
   Mlist.append child2 nk_lazy 9;
-  Ws.merge_child ~parent:ws ~child:child2 ~base:base2;
-  Ws.truncate_to_min ws ~bases:[];
+  Ws.merge_child ~parent:ws ~child:child2;
+  Ws.truncate_to_min ws ~children:[];
   check_bool "truncation keeps the unapplied suffix readable"
     (Mlist.get ws nk_lazy = expected @ [ 9 ])
 
