@@ -1079,7 +1079,7 @@ let obs_bench () =
    oracle battery (the per-seed cost of `sm-fuzz run`). *)
 let fuzz_bench () =
   section "fuzz: seeds/second through generation, execution, oracles";
-  let profile = Sm_fuzz.Program.det_profile in
+  let profile = Sm_ir.Program.det_profile in
   let depth = 3 in
   let stage label seeds f =
     let t0 = Unix.gettimeofday () in

@@ -21,16 +21,6 @@ module Program = Sm_ir.Program
 
 let die fmt = Format.kasprintf (fun msg -> prerr_endline ("sm-lint: " ^ msg); exit 2) fmt
 
-let parse_profile s =
-  match s with
-  | "det" -> Program.det_profile
-  | "full" -> Program.full_profile
-  | s -> (
-    match Program.profile_of_string s with
-    | Some p -> p
-    | None ->
-      die "bad --faults %S (a comma list of validate,abort,sync,clone,any — or det, full, none)" s)
-
 let load_program file =
   let text =
     try In_channel.with_open_text file In_channel.input_all
@@ -62,8 +52,7 @@ let check files =
   if files = [] then die "check needs at least one program file";
   lint_programs (List.map (fun f -> (f, load_program f)) files)
 
-let seed seed depth faults =
-  let profile = parse_profile faults in
+let seed seed depth profile =
   let prog = F.Fuzzer.program_of_seed ~seed ~depth ~profile in
   lint_programs [ (Printf.sprintf "seed-0x%Lx" seed, prog) ]
 
@@ -92,8 +81,7 @@ let matrix ty depth =
 
 (* --- agree ------------------------------------------------------------------- *)
 
-let agree use_corpus seeds seed_base depth faults =
-  let profile = parse_profile faults in
+let agree use_corpus seeds seed_base depth profile =
   F.Oracle.with_env (fun env ->
       let progress ~name (o : F.Agree.outcome) =
         match o.violations with
@@ -169,12 +157,21 @@ let seed_conv =
 let depth_arg =
   Arg.(value & opt int 3 & info [ "depth" ] ~docv:"D" ~doc:"Generator depth for seed-derived programs.")
 
+(* The usage error lives with the flag: commands receive a parsed profile. *)
 let faults_arg =
-  Arg.(
-    value & opt string "det"
-    & info [ "faults" ] ~docv:"LIST"
-        ~doc:"Fault vocabulary for seed-derived programs: comma list of validate, abort, sync, \
-              clone, any — or the presets det (default) and full.")
+  let profile s =
+    match Program.profile_of_string s with
+    | Some p -> p
+    | None ->
+      die "bad --faults %S (a comma list of validate,abort,sync,clone,any — or det, full, none)" s
+  in
+  Term.(
+    const profile
+    $ Arg.(
+        value & opt string "det"
+        & info [ "faults" ] ~docv:"LIST"
+            ~doc:"Fault vocabulary for seed-derived programs: comma list of validate, abort, sync, \
+                  clone, any — or the presets det (default) and full."))
 
 let check_cmd =
   let files = Arg.(value & pos_all string [] & info [] ~docv:"FILE") in

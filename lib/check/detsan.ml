@@ -55,7 +55,7 @@ let hazard_tag = function
    static twins (Sm_lint findings) key on.  Keep in sync with [hazard]. *)
 let hazard_tags = [ "nondet-merge"; "key-in-task"; "unmerged-children"; "op-after-digest" ]
 
-(* At most one observation at a time: the hooks are process-global.  Nested
+(* At most one observation at a time: the hook is process-global.  Nested
    or concurrent [observe] calls would silently steal each other's events. *)
 let busy = Mutex.create ()
 
@@ -78,13 +78,12 @@ let observe f =
     Sm_obs.Flight_recorder.trigger ~reason:(Format.asprintf "detsan: %a" pp_hazard h);
     protected (fun () -> hazards := h :: !hazards)
   in
-  Rt.Sanitizer_hook.install (function
-    | Rt.Sanitizer_hook.Nondet_merge { task; prim } -> add (Nondet_merge { task; prim })
-    | Rt.Sanitizer_hook.Task_started { task } -> protected (fun () -> live := task :: !live)
-    | Rt.Sanitizer_hook.Task_finished { task; unmerged } ->
-      protected (fun () -> live := List.filter (fun t -> not (String.equal t task)) !live);
-      if unmerged <> [] then add (Unmerged_children { task; children = unmerged }));
   Ws.Sanitizer_hook.install (function
+    | Ws.Sanitizer_hook.Nondet_merge { task; prim } -> add (Nondet_merge { task; prim })
+    | Ws.Sanitizer_hook.Task_started { task } -> protected (fun () -> live := task :: !live)
+    | Ws.Sanitizer_hook.Task_finished { task; unmerged } ->
+      protected (fun () -> live := List.filter (fun t -> not (String.equal t task)) !live);
+      if unmerged <> [] then add (Unmerged_children { task; children = unmerged })
     | Ws.Sanitizer_hook.Key_created { key } ->
       let tasks = protected (fun () -> List.rev !live) in
       if tasks <> [] then add (Key_minted_in_task { key; tasks })
@@ -95,7 +94,6 @@ let observe f =
   let result =
     Fun.protect
       ~finally:(fun () ->
-        Rt.Sanitizer_hook.uninstall ();
         Ws.Sanitizer_hook.uninstall ();
         Mutex.unlock busy)
       f

@@ -1,9 +1,9 @@
 (** DetSan — the determinism sanitizer.
 
-    Watches a live Spawn/Merge program through the runtime's and the
-    workspace's sanitizer hooks ({!Sm_core.Runtime.Sanitizer_hook},
-    {!Sm_mergeable.Workspace.Sanitizer_hook} — the same near-zero-cost
-    gating as {!Sm_obs} tracing) and reports the patterns that break the
+    Watches a live Spawn/Merge program through the sanitizer hook
+    ({!Sm_mergeable.Workspace.Sanitizer_hook}, which the runtime's task
+    events share — the same near-zero-cost gating as {!Sm_obs} tracing)
+    and reports the patterns that break the
     paper's determinism guarantee, each with task provenance:
 
     - {b nondet-merge} — [merge_any] / [merge_any_from_set] on a path that
@@ -49,7 +49,7 @@ val hazard_tags : string list
     harness iterates when checking static coverage of dynamic hazards. *)
 
 val observe : (unit -> 'a) -> 'a * hazard list
-(** Install the hooks, run the thunk (typically one or more
+(** Install the hook, run the thunk (typically one or more
     {!Sm_core.Runtime.run} / [Coop.run] calls), uninstall, and return the
     deduplicated hazards in first-occurrence order.  Process-global and
     exclusive: concurrent observations serialize on an internal lock. *)

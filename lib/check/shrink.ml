@@ -1,10 +1,24 @@
-(* Greedy scenario minimization.  A scenario is a list of operation
-   sequences (parent ops, left child, right child, grandchild); [fails]
-   decides whether a candidate still exhibits the violation.  Two moves:
-   drop one element anywhere, or replace one element by a [shrink_elt]
-   candidate.  First-improvement hill climbing to a fixpoint — not optimal,
-   but counterexamples here start small (bounded enumeration) and the point
-   is a 2-op report instead of a 2-sequence wall of ops. *)
+(* Greedy minimization: first-improvement hill climbing to a fixpoint — not
+   optimal, but counterexamples here start small (bounded enumeration,
+   seeded fuzz programs and scenarios) and the point is a 2-op report
+   instead of a 2-sequence wall of ops. *)
+
+let greedy ?(max_steps = 500) ~fails ~candidates x =
+  let steps = ref 0 in
+  let rec go x =
+    if !steps >= max_steps then x
+    else
+      match List.find_opt fails (candidates x) with
+      | Some smaller ->
+        incr steps;
+        go smaller
+      | None -> x
+  in
+  let result = go x in
+  (result, !steps)
+
+(* A scenario is a list of operation sequences (parent ops, left child,
+   right child, grandchild — or one script per fuzz task). *)
 
 let drop_nth xs n = List.filteri (fun i _ -> i <> n) xs
 
@@ -31,20 +45,9 @@ let replacements ~shrink_elt scenario =
               seq))
        scenario)
 
-let minimize ?(max_steps = 500) ~fails ~shrink_elt scenario =
-  let steps = ref 0 in
-  let rec go scenario =
-    if !steps >= max_steps then scenario
-    else begin
-      (* Drops first: removing an op is a bigger win than shrinking one, and
-         drops strictly reduce size so they cannot cycle. *)
-      let candidates = drops scenario @ replacements ~shrink_elt scenario in
-      match List.find_opt fails candidates with
-      | Some smaller ->
-        incr steps;
-        go smaller
-      | None -> scenario
-    end
-  in
-  let result = go scenario in
-  (result, !steps)
+(* Drops first: removing an op is a bigger win than shrinking one, and drops
+   strictly reduce size so they cannot cycle. *)
+let minimize ?max_steps ~fails ~shrink_elt scenario =
+  greedy ?max_steps ~fails
+    ~candidates:(fun s -> drops s @ replacements ~shrink_elt s)
+    scenario

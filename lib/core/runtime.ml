@@ -56,22 +56,11 @@ end
 
 exception Not_a_child of string
 
-(* Determinism-sanitizer observation points, gated exactly like the Sm_obs
-   emits above: one load + branch per site while nothing is installed.  The
-   listener (Sm_check.Detsan) turns these into hazard reports; the runtime
-   itself attaches no policy. *)
-module Sanitizer_hook = struct
-  type event =
-    | Nondet_merge of { task : string; prim : string }
-    | Task_started of { task : string }
-    | Task_finished of { task : string; unmerged : string list }
-
-  let hook : (event -> unit) option ref = ref None
-  let install f = hook := Some f
-  let uninstall () = hook := None
-  let emit ev = match !hook with None -> () | Some f -> f ev
-  let active () = !hook <> None
-end
+(* Determinism-sanitizer observation points live with the workspace's (one
+   hook, one listener: Sm_check.Detsan), gated exactly like the Sm_obs emits
+   above: one load + branch per site while nothing is installed.  The
+   runtime itself attaches no policy. *)
+module Sanitizer_hook = Ws.Sanitizer_hook
 
 (* The scheduler a runtime instance runs on.  The threaded instantiation
    maps these to an Executor plus one Mutex/Condition pair; the cooperative

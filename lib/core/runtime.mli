@@ -186,28 +186,3 @@ val task_id : ctx -> int
 (** Process-unique numeric id — allocation-ordered, so {e not} stable across
     runs; use {!task_name} for deterministic identity.  This is the id
     {!Sm_obs} events carry and Chrome traces use as the thread lane. *)
-
-(** Observation points for the determinism sanitizer (DetSan, in
-    [Sm_check.Detsan]) — hooked through the runtime the same way {!Sm_obs}
-    tracing is: every site is a single load + branch while nothing is
-    installed, and the runtime attaches no policy to what a listener does.
-    At most one listener at a time (a second {!install} replaces the
-    first). *)
-module Sanitizer_hook : sig
-  type event =
-    | Nondet_merge of { task : string; prim : string }
-        (** [task] called {!merge_any} / {!merge_any_from_set} ([prim]) —
-            explicit non-determinism; any digest downstream depends on
-            scheduling *)
-    | Task_started of { task : string }  (** a root/spawned/cloned task began *)
-    | Task_finished of { task : string; unmerged : string list }
-        (** [task]'s body returned; [unmerged] are children left for the
-            implicit MergeAll (empty when the body raised — those children
-            are drained and discarded) *)
-
-  val install : (event -> unit) -> unit
-  val uninstall : unit -> unit
-
-  val active : unit -> bool
-  (** A listener is installed (e.g. asserting hook hygiene in tests). *)
-end

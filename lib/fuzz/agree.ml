@@ -1,4 +1,4 @@
-module P = Program
+module P = Sm_ir.Program
 module L = Sm_lint
 
 type outcome =

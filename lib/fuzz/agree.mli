@@ -16,14 +16,14 @@
 
 type outcome =
   { name : string
-  ; program : Program.t
+  ; program : Sm_ir.Program.t
   ; report : Sm_lint.Lint.report
   ; hazards : string list  (** deduplicated DetSan tags from one threaded run *)
   ; observed_calls : int  (** ot.transform_calls of one metered coop run *)
   ; violations : string list  (** empty = the contracts held *)
   }
 
-val check_program : Oracle.env -> ?name:string -> Program.t -> outcome
+val check_program : Oracle.env -> ?name:string -> Sm_ir.Program.t -> outcome
 
 type summary =
   { programs : int
@@ -40,7 +40,7 @@ val run_seeds :
   seed_base:int64 ->
   seeds:int ->
   depth:int ->
-  profile:Program.profile ->
+  profile:Sm_ir.Program.profile ->
   unit ->
   outcome list
 (** Generated programs for seeds [seed_base .. seed_base + seeds - 1]. *)

@@ -1,3 +1,5 @@
+module Program = Sm_ir.Program
+
 type entry =
   { name : string
   ; seed : int64

@@ -11,7 +11,7 @@ type entry =
   { name : string
   ; seed : int64
   ; depth : int
-  ; profile : Program.profile
+  ; profile : Sm_ir.Program.profile
   ; mutate : Sm_check.Mutate.kind option
   ; expect : string option  (** failing oracle name, [None] = must pass *)
   }

@@ -66,12 +66,16 @@ let digest ?chaos_seed ~seed () =
           done;
           Ws.digest ws))
 
-let check ~seed () =
-  let plain = digest ~seed () in
-  let chaotic = digest ~chaos_seed:(Int64.logxor seed 0x63686130L) ~seed () in
-  let chaotic' = digest ~chaos_seed:(Int64.logxor seed 0x63686131L) ~seed () in
-  if plain <> chaotic then
-    Error (Printf.sprintf "chaos changed the digest: %s <> %s" plain chaotic)
-  else if plain <> chaotic' then
-    Error (Printf.sprintf "chaos (second seed) changed the digest: %s <> %s" plain chaotic')
-  else Ok plain
+let target =
+  let check ~seed =
+    let fail detail = Error (Target.fail ~target:"dist" ~seed ~oracle:"chaos-invariance" detail) in
+    let plain = digest ~seed () in
+    let chaotic = digest ~chaos_seed:(Int64.logxor seed 0x63686130L) ~seed () in
+    let chaotic' = digest ~chaos_seed:(Int64.logxor seed 0x63686131L) ~seed () in
+    if plain <> chaotic then
+      fail (Printf.sprintf "chaos changed the digest: %s <> %s" plain chaotic)
+    else if plain <> chaotic' then
+      fail (Printf.sprintf "chaos (second seed) changed the digest: %s <> %s" plain chaotic')
+    else Ok ()
+  in
+  { Target.name = "dist"; check }

@@ -11,11 +11,7 @@
     unobservable, which is precisely the paper's determinism claim
     transported to the distributed runtime. *)
 
-val digest : ?chaos_seed:int64 -> seed:int64 -> unit -> string
-(** Run the scenario once on a fresh cluster (with the chaos relay when
-    [chaos_seed] is given) and return the final workspace digest. *)
-
-val check : seed:int64 -> unit -> (string, string) result
-(** Three runs — no chaos, chaos, chaos with another seed — and compare.
-    [Ok digest] on agreement, [Error detail] naming the diverging pair
-    otherwise. *)
+val target : Target.t
+(** Each seed runs its scenario on a fresh cluster three times — no chaos,
+    chaos, chaos with another seed — and fails ["chaos-invariance"] when a
+    digest differs. *)

@@ -1,3 +1,4 @@
+module Program = Sm_ir.Program
 module Rng = Sm_util.Det_rng
 
 type report =
@@ -71,17 +72,30 @@ let pp_report ppf r =
 
 let report_to_string r = Format.asprintf "%a" pp_report r
 
-type summary =
-  { seeds : int
-  ; failed : report list
+(* The expected failure of a mutation run: the differential oracle caught
+   the seeded transform bug.  Anything else is news. *)
+let failure ?mutate ~report (f : Oracle.failure) =
+  { Target.oracle = f.oracle
+  ; detail = f.detail
+  ; expected = Option.is_some mutate && f.oracle = "differential"
+  ; report
+  ; flight = []
   }
 
-let run_seeds ?mutate ?runs ?lint ?progress env ~seed_base ~seeds ~depth ~profile () =
-  let failed = ref [] in
-  for i = 0 to seeds - 1 do
-    let seed = Int64.add seed_base (Int64.of_int i) in
-    let outcome = fuzz_one ?mutate ?runs ?lint env ~seed ~depth ~profile () in
-    (match outcome with Passed -> () | Failed r -> failed := r :: !failed);
-    match progress with None -> () | Some f -> f ~seed outcome
-  done;
-  { seeds; failed = List.rev !failed }
+let check_program ?mutate ?runs env program =
+  Result.map_error
+    (fun f -> failure ?mutate ~report:(Program.to_string program) f)
+    (Oracle.check ?mutate ?runs env program)
+
+let target ?mutate ?runs ?lint env ~depth ~profile =
+  let name =
+    Printf.sprintf "spawn (depth %d, faults %s%s)" depth
+      (Program.profile_to_string profile)
+      (match mutate with None -> "" | Some k -> ", mutate " ^ Sm_check.Mutate.to_string k)
+  in
+  let check ~seed =
+    match fuzz_one ?mutate ?runs ?lint env ~seed ~depth ~profile () with
+    | Passed -> Ok ()
+    | Failed r -> Error (failure ?mutate ~report:(report_to_string r) r.failure)
+  in
+  { Target.name; check }

@@ -1,4 +1,5 @@
-(** The fuzz loop: seed → program → oracles → shrink → replayable report.
+(** The spawn-tree target: seed → program → oracles → shrink → replayable
+    report.
 
     Everything here is a pure function of its parameters: {!program_of_seed}
     derives the program from the seed alone, the oracles are deterministic,
@@ -10,11 +11,11 @@
 type report =
   { seed : int64
   ; depth : int
-  ; profile : Program.profile
+  ; profile : Sm_ir.Program.profile
   ; mutate : Sm_check.Mutate.kind option
   ; failure : Oracle.failure  (** the original program's first failure *)
-  ; program : Program.t  (** as generated *)
-  ; shrunk : Program.t  (** minimized, still failing [failure.oracle] *)
+  ; program : Sm_ir.Program.t  (** as generated *)
+  ; shrunk : Sm_ir.Program.t  (** minimized, still failing [failure.oracle] *)
   ; shrink_steps : int  (** accepted shrink moves *)
   ; lint : string option
     (** {!Sm_lint.Lint.summary} of the shrunk program when the run was
@@ -27,9 +28,9 @@ type outcome =
   | Passed
   | Failed of report
 
-val program_of_seed : seed:int64 -> depth:int -> profile:Program.profile -> Program.t
+val program_of_seed : seed:int64 -> depth:int -> profile:Sm_ir.Program.profile -> Sm_ir.Program.t
 (** The program seed [seed] denotes: a fresh {!Sm_util.Det_rng} fed to
-    {!Program.generate}. *)
+    {!Sm_ir.Program.generate}. *)
 
 val fuzz_one :
   ?mutate:Sm_check.Mutate.kind ->
@@ -38,7 +39,7 @@ val fuzz_one :
   Oracle.env ->
   seed:int64 ->
   depth:int ->
-  profile:Program.profile ->
+  profile:Sm_ir.Program.profile ->
   unit ->
   outcome
 (** Generate, check every oracle, and on failure shrink with
@@ -49,26 +50,27 @@ val fuzz_one :
 val report_to_string : report -> string
 (** The canonical replay artifact: a deterministic text header
     (seed/depth/profile/mutate/oracle/detail/sizes) followed by the shrunk
-    program in {!Program.to_string} form. *)
+    program in {!Sm_ir.Program.to_string} form. *)
 
 val pp_report : Format.formatter -> report -> unit
 
-type summary =
-  { seeds : int
-  ; failed : report list  (** failing seeds in run order *)
-  }
+val check_program :
+  ?mutate:Sm_check.Mutate.kind ->
+  ?runs:int ->
+  Oracle.env ->
+  Sm_ir.Program.t ->
+  (unit, Target.failure) result
+(** {!Oracle.check} one program, unshrunk; a failure's report is the
+    program text.  With [mutate], a differential failure is expected. *)
 
-val run_seeds :
+val target :
   ?mutate:Sm_check.Mutate.kind ->
   ?runs:int ->
   ?lint:bool ->
-  ?progress:(seed:int64 -> outcome -> unit) ->
   Oracle.env ->
-  seed_base:int64 ->
-  seeds:int ->
   depth:int ->
-  profile:Program.profile ->
-  unit ->
-  summary
-(** Fuzz seeds [seed_base .. seed_base + seeds - 1] sequentially (the
-    shared executors in {!Oracle.env} are not reentrant). *)
+  profile:Sm_ir.Program.profile ->
+  Target.t
+(** {!fuzz_one} as a fuzz target: a failure carries {!report_to_string} and
+    is expected exactly when [mutate] is given and the differential oracle
+    caught it. *)

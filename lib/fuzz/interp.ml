@@ -1,6 +1,6 @@
 module Rt = Sm_core.Runtime
 module Ws = Sm_mergeable.Workspace
-module P = Program
+module P = Sm_ir.Program
 
 module Int_elt = Sm_ot.Op_sig.Int_elt
 module String_elt = Sm_ot.Op_sig.String_elt

@@ -1,5 +1,5 @@
-(** The fuzz-program interpreter: runs a {!Program.t} against the real
-    Spawn/Merge runtime.
+(** The fuzz-program interpreter: runs a {!Sm_ir.Program.t} against the
+    real Spawn/Merge runtime.
 
     Interpretation is {e total} and, for programs without any-merges,
     {e deterministic}: payload integers are reduced modulo the current
@@ -29,10 +29,6 @@ module Keyset : sig
       ({!Sm_check.Uncompacted}) — the reference side of the [compaction]
       oracle (memoized). *)
 
-  val counter_value : Sm_mergeable.Workspace.t -> t -> int
-  (** The fuzz counter's current value — what generated [?validate]
-      predicates judge. *)
-
   val queue_value : Sm_mergeable.Workspace.t -> t -> int list
   (** The fuzz queue's current value, front first — lets tests pin merge
       serialization order (the [queue-push-order] known issue) through the
@@ -42,7 +38,7 @@ end
 val init : Keyset.t -> Sm_mergeable.Workspace.t -> unit
 (** Bind all nine keys to canonical initial states (root task only). *)
 
-val run : ?task_budget:int -> Keyset.t -> Program.t -> Sm_core.Runtime.ctx -> unit
+val run : ?task_budget:int -> Keyset.t -> Sm_ir.Program.t -> Sm_core.Runtime.ctx -> unit
 (** Initialize the workspace and execute script 0 as the given task.
     [task_budget] (default 256) is a hard cap on spawned+cloned tasks — a
     backstop for hand-written [--program] inputs; generator output stays far

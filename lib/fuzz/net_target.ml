@@ -112,9 +112,24 @@ let check ?(faults = no_faults) ~seed () =
     Ok (Digest.to_hex (Digest.string (Buffer.contents buf)))
   end
 
-let check_deterministic ?faults ~seed () =
-  match (check ?faults ~seed (), check ?faults ~seed ()) with
-  | Error e, _ | _, Error e -> Error e
-  | Ok a, Ok b ->
-    if a = b then Ok ()
-    else Error (Printf.sprintf "fault decisions are not seed-deterministic: %s <> %s" a b)
+(* Both fault specs, each run twice: the laws must hold, and the two runs
+   must observe the same digest (fault decisions are a function of the
+   seed). *)
+let target =
+  let check ~seed =
+    let check_spec (label, faults) =
+      let fail oracle detail =
+        Some (Target.fail ~target:"net" ~seed ~oracle (Printf.sprintf "%s: %s" label detail))
+      in
+      match (check ~faults ~seed (), check ~faults ~seed ()) with
+      | Error e, _ | _, Error e -> fail "conservation" e
+      | Ok a, Ok b when a <> b ->
+        fail "determinism"
+          (Printf.sprintf "fault decisions are not seed-deterministic: %s <> %s" a b)
+      | Ok _, Ok _ -> None
+    in
+    match List.find_map check_spec [ ("no faults", no_faults); ("faulty", default_faults) ] with
+    | None -> Ok ()
+    | Some f -> Error f
+  in
+  { Target.name = "net"; check }

@@ -25,7 +25,9 @@ val check : ?faults:spec -> seed:int64 -> unit -> (string, string) result
 (** Run the scenario once; [Ok digest] summarizes everything observed
     (received messages per connection + final stats), [Error detail] names
     the violated conservation law.  The digest is a pure function of [seed]
-    and [faults] — the runner asserts that by running twice. *)
+    and [faults] — {!target} asserts that by running twice. *)
 
-val check_deterministic : ?faults:spec -> seed:int64 -> unit -> (unit, string) result
-(** {!check} twice; also fails when the two digests differ. *)
+val target : Target.t
+(** Each seed runs {!check} twice without faults and twice under
+    {!default_faults}.  Oracles: ["conservation"] (a law above broke) and
+    ["determinism"] (the two runs' digests differ). *)

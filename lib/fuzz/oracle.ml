@@ -9,16 +9,6 @@ type failure =
 
 let pp_failure ppf { oracle; detail } = Format.fprintf ppf "[%s] %s" oracle detail
 
-let oracle_names =
-  [ "crash"
-  ; "differential"
-  ; "determinism"
-  ; "compaction"
-  ; "detsan"
-  ; "trace"
-  ; "replay"
-  ]
-
 type env =
   { exec2 : Sm_core.Executor.t
   ; exec1 : Sm_core.Executor.t
@@ -68,7 +58,7 @@ let differential_oracle prog baseline = function
     | _ -> Ok ())
 
 let determinism_oracle env keys prog baseline ~runs =
-  if Program.uses_any_merge prog then Ok ()
+  if Sm_ir.Program.uses_any_merge prog then Ok ()
   else begin
     let threaded executor =
       Sm_core.Detcheck.digest_of_run ~executor (Interp.run keys prog)
@@ -91,7 +81,7 @@ let compaction_oracle prog baseline =
   else Ok ()
 
 let detsan_oracle env keys prog =
-  if Program.uses_any_merge prog then Ok ()
+  if Sm_ir.Program.uses_any_merge prog then Ok ()
   else begin
     let hazards, _digest = Sm_check.Detsan.run ~executor:env.exec2 (Interp.run keys prog) in
     match hazards with
@@ -120,7 +110,7 @@ let trace_oracle keys prog =
   | Obs.Trace_diff.Diverged _ as r -> fail "trace" "%a" Obs.Trace_diff.pp_result r
 
 let replay_oracle env keys prog =
-  if not (Program.uses_any_merge prog) || Program.uses_clone prog then Ok ()
+  if not (Sm_ir.Program.uses_any_merge prog) || Sm_ir.Program.uses_clone prog then Ok ()
   else begin
     let trace = Rt.Trace.create () in
     let recorded =

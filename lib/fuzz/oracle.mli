@@ -1,9 +1,10 @@
 (** The fuzzer's correctness oracles.
 
-    Given a {!Program.t}, {!check} runs every applicable oracle and returns
-    the first failure.  The cooperative scheduler's digest is the reference
-    — [Coop] is deterministic even for any-merges, so every program has a
-    canonical outcome — and the other oracles compare against it:
+    Given a {!Sm_ir.Program.t}, {!check} runs every applicable oracle and
+    returns the first failure.  The cooperative scheduler's digest is the
+    reference — [Coop] is deterministic even for any-merges, so every
+    program has a canonical outcome — and the other oracles compare against
+    it:
 
     - ["crash"]: the cooperative and threaded runs complete without raising.
     - ["differential"]: with [?mutate], the run over a
@@ -27,14 +28,11 @@
       ({!Sm_core.Runtime.Trace}). *)
 
 type failure =
-  { oracle : string  (** which oracle, from {!oracle_names} *)
+  { oracle : string  (** which oracle, one of the seven above *)
   ; detail : string  (** human-readable evidence (digests, hazard, diff) *)
   }
 
 val pp_failure : Format.formatter -> failure -> unit
-
-val oracle_names : string list
-(** In the order {!check} runs them. *)
 
 (** Shared executors: domain teardown costs a systhreads tick (~50ms), so
     one [env] is reused across every program of a fuzz run. *)
@@ -47,7 +45,7 @@ val threaded_executor : env -> Sm_core.Executor.t
 (** The shared 2-domain executor — what {!Agree} hands to
     {!Sm_check.Detsan.run} so the harness reuses this env's domains. *)
 
-val coop_digest : Interp.Keyset.t -> Program.t -> string
+val coop_digest : Interp.Keyset.t -> Sm_ir.Program.t -> string
 (** One cooperative reference run's workspace digest — also the metered run
     the {!Agree} cost check observes [ot.transform_calls] around. *)
 
@@ -56,9 +54,9 @@ val check :
   ?runs:int ->
   ?mutate:Sm_check.Mutate.kind ->
   env ->
-  Program.t ->
+  Sm_ir.Program.t ->
   (unit, failure) result
-(** Run the applicable oracles in {!oracle_names} order and stop at the
+(** Run the applicable oracles in the order listed above and stop at the
     first failure.  [focus] restricts to the oracle of that name — what the
     shrinker uses so each candidate costs one oracle, not all seven.  [runs]
     (default 3) is the repetition count for the determinism oracle.

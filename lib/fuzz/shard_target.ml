@@ -64,40 +64,40 @@ let profile_of ~seed s =
    2. DetSan-clean — the run triggers no determinism hazards;
    3. reproducibility — a second identical run matches digests and ticks;
    4. mode invariance — a snapshot-mode run reaches the same digests
-      (delta journals and full snapshots describe the same states). *)
+      (delta journals and full snapshots describe the same states).
+   A violation is [Error (oracle, detail)]. *)
 let check_scenario ~seed s =
   let profile = profile_of ~seed s in
   let r1, hazards = Sm_check.Detsan.observe (fun () -> Load.run ~docs profile) in
   if not r1.Load.converged then
     Error
-      (Printf.sprintf "did not converge in %d ticks (%d ops placed of %d, %d batches merged%s)"
-         r1.Load.ticks r1.Load.ops_applied (s.clients * s.ops) r1.Load.edits_merged
-         (match r1.Load.failures with
-         | [] -> ""
-         | (who, why) :: _ -> Printf.sprintf "; %s: %s" who why))
+      ( "convergence"
+      , Printf.sprintf "did not converge in %d ticks (%d ops placed of %d, %d batches merged%s)"
+          r1.Load.ticks r1.Load.ops_applied (s.clients * s.ops) r1.Load.edits_merged
+          (match r1.Load.failures with
+          | [] -> ""
+          | (who, why) :: _ -> Printf.sprintf "; %s: %s" who why) )
   else
     match hazards with
-    | h :: _ -> Error (Format.asprintf "detsan: %a" Sm_check.Detsan.pp_hazard h)
+    | h :: _ -> Error ("detsan", Format.asprintf "%a" Sm_check.Detsan.pp_hazard h)
     | [] ->
       let r2 = Load.run ~docs profile in
       if r2.Load.shard_digests <> r1.Load.shard_digests then
-        Error "rerun with the same seed changed the shard digests"
+        Error ("reproducibility", "rerun with the same seed changed the shard digests")
       else if r2.Load.ticks <> r1.Load.ticks then
         Error
-          (Printf.sprintf "rerun with the same seed changed the tick count (%d vs %d)"
-             r1.Load.ticks r2.Load.ticks)
+          ( "reproducibility"
+          , Printf.sprintf "rerun with the same seed changed the tick count (%d vs %d)"
+              r1.Load.ticks r2.Load.ticks )
       else
         let snap = Load.run ~docs { profile with mode = `Snapshot } in
         if snap.Load.shard_digests <> r1.Load.shard_digests then
-          Error "snapshot-mode run diverged from the delta-mode digests"
-        else
-          Ok (String.concat "," (List.map (fun d -> String.sub d 0 (min 8 (String.length d))) r1.Load.shard_digests))
+          Error ("mode-invariance", "snapshot-mode run diverged from the delta-mode digests")
+        else Ok ()
 
-let check ~seed () = check_scenario ~seed (scenario_of_seed seed)
-
-(* Greedy first-improvement shrink over the scenario, mirroring
-   Sm_check.Shrink's discipline: deterministic candidate order, accept a
-   candidate only if it still fails (any oracle), repeat to fixpoint. *)
+(* Shrink candidates, in the order the greedy shrinker tries them: fewer
+   clients, fewer ops, one shard, chaos off, tighter epochs.  A candidate is
+   accepted if it still fails (any oracle). *)
 let shrink_candidates s =
   List.concat
     [ (if s.clients > 2 then [ { s with clients = max 2 (s.clients / 2) }; { s with clients = s.clients - 1 } ] else [])
@@ -107,34 +107,6 @@ let shrink_candidates s =
     ; (if s.faults <> None then [ { s with faults = None } ] else [])
     ; (if s.epoch_ticks > 1 then [ { s with epoch_ticks = 1 } ] else [])
     ]
-
-let shrink ~seed s =
-  let steps = ref 0 in
-  let rec go s =
-    let next =
-      List.find_opt
-        (fun c -> match check_scenario ~seed c with Error _ -> true | Ok _ -> false)
-        (shrink_candidates s)
-    in
-    match next with
-    | Some c ->
-      incr steps;
-      go c
-    | None -> s
-  in
-  let s' = go s in
-  (s', !steps)
-
-type outcome =
-  | Passed of string  (** digest summary *)
-  | Failed of
-      { detail : string
-      ; scenario : scenario
-      ; shrunk : scenario
-      ; shrink_steps : int
-      ; flight : (string * string list) list
-      ; flight_deterministic : bool
-      }
 
 (* The post-mortem: replay the shrunk failing scenario once more with fresh
    rings and take the flight dump — the hazard-triggered snapshot when the
@@ -156,11 +128,28 @@ let flight_of ~seed s =
   let d2 = capture () in
   (d1, d1 = d2)
 
-let fuzz_one ~seed () =
-  let s = scenario_of_seed seed in
-  match check_scenario ~seed s with
-  | Ok digest -> Passed digest
-  | Error detail ->
-    let shrunk, shrink_steps = shrink ~seed s in
-    let flight, flight_deterministic = flight_of ~seed shrunk in
-    Failed { detail; scenario = s; shrunk; shrink_steps; flight; flight_deterministic }
+let plural n word = Printf.sprintf "%d %s%s" n word (if n = 1 then "" else "s")
+
+let target =
+  let check ~seed =
+    let s = scenario_of_seed seed in
+    match check_scenario ~seed s with
+    | Ok () -> Ok ()
+    | Error (oracle, detail) ->
+      let fails c = Result.is_error (check_scenario ~seed c) in
+      let shrunk, steps = Sm_check.Shrink.greedy ~fails ~candidates:shrink_candidates s in
+      let flight, deterministic = flight_of ~seed shrunk in
+      let events = List.fold_left (fun n (_, lines) -> n + List.length lines) 0 flight in
+      let fields =
+        [ ("scenario", scenario_to_string s)
+        ; ( "shrunk"
+          , Printf.sprintf "%s (%s)" (scenario_to_string shrunk) (plural steps "shrink move") )
+        ; ( "flight"
+          , Printf.sprintf "%s across %s%s" (plural events "event")
+              (plural (List.length flight) "lane")
+              (if deterministic then "" else " [WARNING: dump did not replay identically]") )
+        ]
+      in
+      Error (Target.fail ~target:"shard" ~seed ~oracle ~fields ~flight detail)
+  in
+  { Target.name = "shard"; check }

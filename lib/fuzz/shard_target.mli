@@ -1,56 +1,20 @@
 (** The shard-service fuzz target: seeded editor fleets under chaos, with
     an all-replica digest-convergence oracle.
 
-    A seed denotes a {!scenario} (shard count, fleet size, session length,
+    A seed denotes a scenario (shard count, fleet size, session length,
     epoch width, Netpipe fault level, crash/resume chaos); the scenario runs
     on {!Sm_shard.Load} over a pre-minted document set and must satisfy, in
-    order: convergence (every client view digest equals its shard's
-    authoritative digest), DetSan cleanliness, seed-reproducibility
-    (identical digests and tick count on a rerun), and mode invariance
-    (a snapshot-mode run reaches the same digests as delta sync).
+    order: ["convergence"] (every client view digest equals its shard's
+    authoritative digest), ["detsan"] (no determinism hazards),
+    ["reproducibility"] (identical digests and tick count on a rerun), and
+    ["mode-invariance"] (a snapshot-mode run reaches the same digests as
+    delta sync).
 
-    Failures shrink greedily over the scenario — fewer clients, fewer ops,
-    one shard, chaos off, tighter epochs — to the smallest configuration
-    that still fails, mirroring {!Sm_check.Shrink}'s first-improvement
-    discipline. *)
+    Failures shrink with {!Sm_check.Shrink.greedy} over the scenario —
+    fewer clients, fewer ops, one shard, chaos off, tighter epochs — to the
+    smallest configuration that still fails.  The shrunk scenario then
+    replays twice to capture its flight-recorder dump (the hazard-triggered
+    snapshot when one fired, the end-of-run rings otherwise); the report
+    says whether the two dumps matched. *)
 
-type scenario =
-  { shards : int
-  ; clients : int
-  ; ops : int
-  ; epoch_ticks : int
-  ; faults : Sm_shard.Load.faults option
-  ; disconnect : float
-  }
-
-val scenario_of_seed : int64 -> scenario
-val scenario_to_string : scenario -> string
-
-val check_scenario : seed:int64 -> scenario -> (string, string) result
-(** [Ok digest_summary] or [Error detail] naming the violated oracle. *)
-
-val check : seed:int64 -> unit -> (string, string) result
-(** {!check_scenario} on the seed's own scenario. *)
-
-val shrink : seed:int64 -> scenario -> scenario * int
-(** Minimize a failing scenario; returns it with the accepted-step count. *)
-
-type outcome =
-  | Passed of string
-  | Failed of
-      { detail : string
-      ; scenario : scenario
-      ; shrunk : scenario
-      ; shrink_steps : int
-      ; flight : (string * string list) list
-        (** flight-recorder post-mortem of the shrunk failure: per-lane
-            structural dump lines (the hazard-triggered snapshot when one
-            fired, the end-of-run rings otherwise) *)
-      ; flight_deterministic : bool
-        (** the dump replayed byte-identically on a second run of the
-            shrunk scenario *)
-      }
-
-val fuzz_one : seed:int64 -> unit -> outcome
-(** {!check_scenario}, then on failure {!shrink} and replay the shrunk
-    scenario to capture its flight-recorder dump. *)
+val target : Target.t

@@ -231,8 +231,11 @@ let profile_to_string p =
 
 let profile_of_string s =
   let none = { allow_validate = false; allow_abort = false; allow_sync = false; allow_clone = false; allow_any = false } in
-  if String.trim s = "none" then Some none
-  else
+  match String.trim s with
+  | "none" -> Some none
+  | "det" -> Some det_profile
+  | "full" -> Some full_profile
+  | _ ->
     String.split_on_char ',' s
     |> List.fold_left
          (fun acc name ->

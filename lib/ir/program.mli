@@ -120,6 +120,8 @@ val profile_to_string : profile -> string
     [sm-fuzz --faults] parses and failure reports echo. *)
 
 val profile_of_string : string -> profile option
+(** Parses {!profile_to_string}'s form, plus the presets ["det"]
+    ({!det_profile}) and ["full"] ({!full_profile}). *)
 
 val generate : Sm_util.Det_rng.t -> depth:int -> profile:profile -> t
 (** Draw a program: [2 .. 2*depth+1] scripts of [2 .. depth+5] steps, spawn

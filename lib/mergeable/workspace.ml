@@ -3,15 +3,19 @@ module Imap = Map.Make (Int)
 exception Unbound_key of string
 exception Already_bound of string
 
-(* Sanitizer hooks, same discipline as Sm_obs gating: a single load + branch
-   per site when nothing is installed.  The determinism sanitizer
-   (Sm_check.Detsan) listens here to see key minting, updates and digests
-   without the workspace depending on anything above it. *)
+(* The sanitizer hook, same discipline as Sm_obs gating: a single load +
+   branch per site when nothing is installed.  The determinism sanitizer
+   (Sm_check.Detsan) listens here to see key minting, updates and digests,
+   and the runtime (which sits above the workspace) emits its task events
+   through the same hook. *)
 module Sanitizer_hook = struct
   type event =
     | Key_created of { key : string }
     | Updated of { ws_id : int; key : string }
     | Digested of { ws_id : int }
+    | Task_started of { task : string }
+    | Task_finished of { task : string; unmerged : string list }
+    | Nondet_merge of { task : string; prim : string }
 
   let hook : (event -> unit) option ref = ref None
   let install f = hook := Some f

@@ -188,21 +188,36 @@ val digest : t -> string
     a deterministic program must produce equal digests — the determinism
     oracle's observable. *)
 
-(** Observation points for the determinism sanitizer ({!Sm_check.Detsan}).
+(** Observation points for the determinism sanitizer ({!Sm_check.Detsan}):
+    the workspace's own and, emitted by {!Sm_core.Runtime}, the task tree's.
     Mirrors the {!Sm_obs} gating discipline: when nothing is installed each
-    site costs one load and branch.  At most one listener at a time; the
-    workspace itself attaches no meaning to the events.  [ws_id] is a
+    site costs one load and branch.  At most one listener at a time (a
+    second {!Sanitizer_hook.install} replaces the first); neither the
+    workspace nor the runtime attaches meaning to the events.  [ws_id] is a
     process-unique workspace identity (it survives {!adopt}); diagnostic
     only, not stable across runs. *)
 module Sanitizer_hook : sig
   type event =
     | Key_created of { key : string }
-        (** {!create_key} minted a key (hazardous mid-run, see {!Detcheck}) *)
+        (** {!create_key} minted a key (hazardous mid-run, see {!Sm_core.Detcheck}) *)
     | Updated of { ws_id : int; key : string }  (** {!update} journalled an operation *)
     | Digested of { ws_id : int }  (** {!digest} observed this workspace *)
+    | Task_started of { task : string }  (** a root/spawned/cloned task began *)
+    | Task_finished of { task : string; unmerged : string list }
+        (** [task]'s body returned; [unmerged] are children left for the
+            implicit MergeAll (empty when the body raised — those children
+            are drained and discarded) *)
+    | Nondet_merge of { task : string; prim : string }
+        (** [task] called {!Sm_core.Runtime.merge_any} /
+            {!Sm_core.Runtime.merge_any_from_set} ([prim]) — explicit
+            non-determinism; any digest downstream depends on scheduling *)
 
   val install : (event -> unit) -> unit
   val uninstall : unit -> unit
+
+  val emit : event -> unit
+  (** Hand [event] to the listener, if any.  Sites guard with {!active} so
+      that building the event costs nothing while none is installed. *)
 
   val active : unit -> bool
   (** A listener is installed (e.g. asserting hook hygiene in tests). *)

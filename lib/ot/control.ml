@@ -82,9 +82,10 @@ module Make (O : Op_sig.S) = struct
     in
     List.concat (List.rev chunks_rev)
 
-  (* Metered journal compaction: what Workspace.merge_child runs on child
-     journals when the compaction flag is on.  Singleton/empty journals
-     cannot shrink, so they skip both O.compact and the metering. *)
+  (* Metered journal compaction: what Workspace.merge_child runs on every
+     child journal before transforming it (the uncompacted reference keys of
+     Sm_check.Uncompacted make O.compact the identity).  Singleton/empty
+     journals cannot shrink, so they skip both O.compact and the metering. *)
   let compact ops =
     match ops with
     | [] | [ _ ] -> ops

@@ -158,6 +158,18 @@ let register_and_xfail () =
   | Some reason -> check_bool "carries the reason" (String.length reason > 0)
   | None -> Alcotest.fail "expected reason missing"
 
+(* The shrinker is generic in the value: halve an int while it stays >= 7.
+   100 -> 50 -> 25 -> 12, and 6 no longer fails, so 12 is the fixpoint. *)
+let greedy_on_ints () =
+  let fails n = n >= 7 in
+  let candidates n = if n > 0 then [ n / 2 ] else [] in
+  Alcotest.(check (pair int int))
+    "fixpoint and step count" (12, 3)
+    (Check.Shrink.greedy ~fails ~candidates 100);
+  Alcotest.(check (pair int int))
+    "max_steps stops the climb" (25, 2)
+    (Check.Shrink.greedy ~max_steps:2 ~fails ~candidates 100)
+
 let suite =
   [ Alcotest.test_case "shrink: converges to the boundary" `Quick shrink_converges
   ; Alcotest.test_case "shrink: max_steps backstop" `Quick shrink_respects_max_steps
@@ -171,4 +183,5 @@ let suite =
   ; Alcotest.test_case "shrink preserves the failing property" `Quick shrink_preserves_failure
   ; Alcotest.test_case "registry: lenient lookup" `Quick lenient_lookup
   ; Alcotest.test_case "registry: user module registers and XFAILs" `Quick register_and_xfail
+  ; Alcotest.test_case "shrink: greedy on a non-list value" `Quick greedy_on_ints
   ]

@@ -5,7 +5,7 @@
     [merge_any_from_set]. *)
 
 open Test_support
-module P = Sm_fuzz.Program
+module P = Sm_ir.Program
 module Rt = Sm_core.Runtime
 module Ws = Sm_mergeable.Workspace
 module Np = Sm_sim.Netpipe
@@ -54,7 +54,9 @@ let profile_round_trip () =
       | Some p' -> check_bool ("profile round-trips: " ^ P.profile_to_string p) (p = p')
       | None -> Alcotest.fail ("profile_of_string rejected " ^ P.profile_to_string p))
     [ P.det_profile; P.full_profile ];
-  check_bool "unknown flag rejected" (P.profile_of_string "validate,warp" = None)
+  check_bool "unknown flag rejected" (P.profile_of_string "validate,warp" = None);
+  check_bool "det preset" (P.profile_of_string "det" = Some P.det_profile);
+  check_bool "full preset" (P.profile_of_string "full" = Some P.full_profile)
 
 (* --- oracles ----------------------------------------------------------------- *)
 
@@ -236,9 +238,9 @@ let netpipe_conservation () =
 let netpipe_deterministic () =
   List.iter
     (fun seed ->
-      match Sm_fuzz.Net_target.check_deterministic ~seed () with
+      match Sm_fuzz.Net_target.target.check ~seed with
       | Ok () -> ()
-      | Error detail -> Alcotest.failf "seed %Ld: %s" seed detail)
+      | Error f -> Alcotest.failf "seed %Ld: [%s] %s" seed f.oracle f.detail)
     (seeds_of 4)
 
 let netpipe_lossless_fifo () =
@@ -254,10 +256,53 @@ let netpipe_lossless_fifo () =
 let dist_chaos_invariant () =
   List.iter
     (fun seed ->
-      match Sm_fuzz.Dist_target.check ~seed () with
-      | Ok _ -> ()
-      | Error detail -> Alcotest.failf "seed %Ld: %s" seed detail)
+      match Sm_fuzz.Dist_target.target.check ~seed with
+      | Ok () -> ()
+      | Error f -> Alcotest.failf "seed %Ld: [%s] %s" seed f.oracle f.detail)
     (seeds_of 2)
+
+(* --- the shared target shape -------------------------------------------------- *)
+
+module Target = Sm_fuzz.Target
+
+(* A target that fails on chosen seeds, expectedly or not. *)
+let fake ~failing ~expected =
+  let check ~seed =
+    if List.mem seed failing then
+      Error
+        { Target.oracle = "fake"
+        ; detail = Printf.sprintf "seed %Ld" seed
+        ; expected
+        ; report = ""
+        ; flight = []
+        }
+    else Ok ()
+  in
+  { Target.name = "fake"; check }
+
+let sweep_and_exit_rule () =
+  let failing = [ 7L; 2L; 12L; 3L ] in
+  let seen = ref [] in
+  let failures =
+    Target.sweep
+      ~on_failure:(fun seed _ -> seen := seed :: !seen)
+      (fake ~failing ~expected:true) ~seed_base:2L ~seeds:10
+  in
+  Alcotest.(check (list int64)) "failing seeds in seed order, base included, end excluded"
+    [ 2L; 3L; 7L ] (List.map fst failures);
+  Alcotest.(check (list int64)) "on_failure saw the same seeds" [ 2L; 3L; 7L ] (List.rev !seen);
+  Alcotest.(check int) "no failures: 0" 0 (Target.exit_code []);
+  Alcotest.(check int) "all expected: 3" 3 (Target.exit_code (List.map snd failures));
+  let unexpected =
+    Target.sweep (fake ~failing ~expected:false) ~seed_base:12L ~seeds:1 |> List.map snd
+  in
+  Alcotest.(check int) "one unexpected among expected: 1" 1
+    (Target.exit_code (List.map snd failures @ unexpected))
+
+let shard_target_sweep () =
+  match Target.sweep Sm_fuzz.Shard_target.target ~seed_base:1L ~seeds:3 with
+  | [] -> ()
+  | (seed, f) :: _ -> Alcotest.failf "seed %Ld: [%s] %s" seed f.oracle f.detail
 
 let suite =
   [ Alcotest.test_case "program: codec round-trip" `Quick codec_round_trip
@@ -280,4 +325,7 @@ let suite =
       netpipe_deterministic
   ; Alcotest.test_case "netpipe: lossless runs deliver exact FIFO" `Quick netpipe_lossless_fifo
   ; Alcotest.test_case "dist: digest invariant under chaos relay" `Slow dist_chaos_invariant
+  ; Alcotest.test_case "target: sweep keeps failing seeds in order; exit rule" `Quick
+      sweep_and_exit_rule
+  ; Alcotest.test_case "shard: seeds 1-3 pass through sweep" `Quick shard_target_sweep
   ]

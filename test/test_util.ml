@@ -1,28 +1,6 @@
 open Test_support
 module U = Sm_util
 
-let hmap_basics () =
-  let k1 : int U.Hmap.key = U.Hmap.Key.create ~name:"k1" in
-  let k2 : string U.Hmap.key = U.Hmap.Key.create ~name:"k2" in
-  let k3 : int U.Hmap.key = U.Hmap.Key.create ~name:"k1" in
-  let m = U.Hmap.(empty |> add k1 42 |> add k2 "hi") in
-  Alcotest.(check (option int)) "find k1" (Some 42) (U.Hmap.find k1 m);
-  Alcotest.(check (option string)) "find k2" (Some "hi") (U.Hmap.find k2 m);
-  Alcotest.(check (option int)) "same-name key does not alias" None (U.Hmap.find k3 m);
-  Alcotest.(check int) "cardinal" 2 (U.Hmap.cardinal m);
-  let m = U.Hmap.add k1 7 m in
-  Alcotest.(check int) "replace keeps cardinal" 2 (U.Hmap.cardinal m);
-  Alcotest.(check int) "replaced" 7 (U.Hmap.get k1 m);
-  let m = U.Hmap.remove k1 m in
-  check_bool "removed" (not (U.Hmap.mem k1 m));
-  Alcotest.check_raises "get missing raises" Not_found (fun () -> ignore (U.Hmap.get k1 m))
-
-let hmap_fold_order () =
-  let ks = List.init 5 (fun i -> (U.Hmap.Key.create ~name:(string_of_int i) : int U.Hmap.key)) in
-  let m = List.fold_left (fun m k -> U.Hmap.add k 0 m) U.Hmap.empty (List.rev ks) in
-  let names = List.map (fun (U.Hmap.B (k, _)) -> U.Hmap.Key.name k) (U.Hmap.bindings m) in
-  Alcotest.(check (list string)) "creation order" [ "0"; "1"; "2"; "3"; "4" ] names
-
 let vec_basics () =
   let v = U.Vec.create () in
   Alcotest.(check int) "empty" 0 (U.Vec.length v);
@@ -254,9 +232,7 @@ let fnv_stable () =
     <> U.Fnv.combine (U.Fnv.hash "b") (U.Fnv.hash "a"))
 
 let suite =
-  [ Alcotest.test_case "hmap: typed bindings" `Quick hmap_basics
-  ; Alcotest.test_case "hmap: deterministic fold order" `Quick hmap_fold_order
-  ; Alcotest.test_case "vec: push/get/slice/copy" `Quick vec_basics
+  [ Alcotest.test_case "vec: push/get/slice/copy" `Quick vec_basics
   ; vec_of_list_roundtrip
   ; Alcotest.test_case "rng: determinism" `Quick rng_deterministic
   ; Alcotest.test_case "rng: split independence" `Quick rng_split_independent
@@ -270,8 +246,8 @@ let suite =
   ; Alcotest.test_case "stats: invalid inputs" `Quick stats_invalid
   ; Alcotest.test_case "bqueue: fifo/close" `Quick bqueue_fifo
   ; Alcotest.test_case "bqueue: producer/consumer threads" `Quick bqueue_threads
-  ; Alcotest.test_case "sha1: FIPS vectors" `Quick sha1_vectors
-  ; Alcotest.test_case "sha1: iterate" `Quick sha1_iterate
   ; sha1_padding_boundaries
   ; Alcotest.test_case "fnv: stability and order" `Quick fnv_stable
+  ; Alcotest.test_case "sha1: FIPS vectors" `Quick sha1_vectors
+  ; Alcotest.test_case "sha1: iterate" `Quick sha1_iterate
   ]
