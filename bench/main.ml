@@ -1156,8 +1156,10 @@ let flat_apply s op =
 (* Gates: (a) the 1M-char/10k-op session runs >= 10x faster on the rope than
    on the flat string; (b) both land on byte-identical documents; (c) the
    packed journal encoding of the session is strictly smaller than a tagged
-   op list ([C.list op_codec]).  Returns whether all held; the driver turns
-   that into the exit code after writing BENCH_text.json. *)
+   op list ([C.list op_codec]); (d) the 10k-char session allocates at most
+   [Rope.max_chunk] bytes per edit, so an edit inside a leaf copies that
+   leaf once.  Returns whether all held; the driver turns that into the
+   exit code after writing BENCH_text.json. *)
 let text_bench () =
   section "text: chunked-rope Mtext vs a flat string";
   let module T = Sm_ot.Op_text in
@@ -1174,8 +1176,18 @@ let text_bench () =
       (time_once apply st ops)
       (List.init (max 0 (reps - 1)) Fun.id)
   in
+  (* Bytes the rope allocates per edit over one untimed fold: a count, not
+     a timing.  The fold starts after a full major collection because the
+     collector's state at the start moves the count; from a collected heap
+     the gated 10k-char count repeats exactly. *)
+  let alloc_per_edit st ops =
+    Gc.full_major ();
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (List.fold_left T.apply st ops));
+    (Gc.allocated_bytes () -. before) /. float_of_int (List.length ops)
+  in
   Format.printf "@.%d-op edit sessions (55%% ins / 45%% del), min over batches:@.@." nops;
-  Format.printf "%-12s %12s %12s %10s@." "doc" "rope" "flat" "speedup";
+  Format.printf "%-12s %12s %12s %10s %14s@." "doc" "rope" "flat" "speedup" "rope B/edit";
   let rows =
     List.map
       (fun chars ->
@@ -1183,16 +1195,19 @@ let text_bench () =
         let ops = text_session ~seed:(Int64.of_int (0xB00C + chars)) ~len:chars ~nops in
         let rope_ms = time_min ~reps:3 T.apply (T.of_string doc) ops in
         let flat_ms = time_min ~reps:(if chars >= 1_000_000 then 1 else 2) flat_apply doc ops in
+        let alloc = alloc_per_edit (T.of_string doc) ops in
         record (Printf.sprintf "apply/rope/chars=%d" chars) rope_ms;
         record (Printf.sprintf "apply/flat/chars=%d" chars) flat_ms;
-        Format.printf "%-12s %9.2f ms %9.2f ms %9.1fx@." (pp_chars chars ^ " chars") rope_ms
-          flat_ms (flat_ms /. rope_ms);
+        record (Printf.sprintf "alloc/rope/chars=%d" chars) alloc;
+        Format.printf "%-12s %9.2f ms %9.2f ms %9.1fx %14.0f@." (pp_chars chars ^ " chars") rope_ms
+          flat_ms (flat_ms /. rope_ms) alloc;
         Format.print_flush ();
-        (chars, doc, ops, rope_ms, flat_ms))
+        (chars, doc, ops, rope_ms, flat_ms, alloc))
       [ 10_000; 100_000; 1_000_000 ]
   in
-  let chars_of (c, _, _, _, _) = c in
-  let _, doc1m, ops1m, rope_ms, flat_ms = List.find (fun r -> chars_of r = 1_000_000) rows in
+  let chars_of (c, _, _, _, _, _) = c in
+  let _, doc1m, ops1m, rope_ms, flat_ms, _ = List.find (fun r -> chars_of r = 1_000_000) rows in
+  let _, _, _, _, _, alloc10k = List.find (fun r -> chars_of r = 10_000) rows in
   (* equivalence on the gated session: byte-identical final documents *)
   let md5 s = Digest.to_hex (Digest.string s) in
   let m_rope = md5 (T.to_string (List.fold_left T.apply (T.of_string doc1m) ops1m)) in
@@ -1211,15 +1226,18 @@ let text_bench () =
   let speedup = flat_ms /. rope_ms in
   let speed_ok = speedup >= 10.0 in
   let wire_ok = packed < op_list in
-  let ok = speed_ok && doc_ok && wire_ok in
+  let alloc_ok = alloc10k <= float_of_int Sm_ot.Rope.max_chunk in
+  let ok = speed_ok && doc_ok && wire_ok && alloc_ok in
   Format.printf
     "@.gate: %s (1M/10k rope speedup %.1fx >= 10x: %s; documents identical: %s; packed < op \
-     list: %s)@."
+     list: %s; 10k rope %.0f B/edit <= %d: %s)@."
     (if ok then "ok" else "FAILED")
     speedup
     (if speed_ok then "ok" else "FAIL")
     (if doc_ok then "ok" else "FAIL")
-    (if wire_ok then "ok" else "FAIL");
+    (if wire_ok then "ok" else "FAIL")
+    alloc10k Sm_ot.Rope.max_chunk
+    (if alloc_ok then "ok" else "FAIL");
   ok
 
 let () =

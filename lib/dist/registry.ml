@@ -157,7 +157,7 @@ let apply_delta t ~into ~cursor entries =
         let (V rk) = find_value t id in
         let ops = Sm_util.Codec.decode rk.journal_codec bytes in
         Sm_obs.Metrics.add applied_ops (List.length ops);
-        List.iter (fun op -> Ws.update_trimming into rk.wkey op) ops
+        Ws.update_trimming into rk.wkey ops
       end)
     entries
 

@@ -163,22 +163,26 @@ let update (type s o) t (k : (s, o) key) (op : o) =
   if Sanitizer_hook.active () then
     Sanitizer_hook.emit (Sanitizer_hook.Updated { ws_id = t.uid; key = k.name })
 
-(* Like [update], but the journal is trimmed at the new head instead of
-   retaining the operation: the version still advances, and [journal_since]
-   afterwards answers only from the new head.  For replicas that apply
-   remote operations they will never re-ship — retaining them would make
-   every replica's memory grow with the full edit history. *)
-let update_trimming (type s o) t (k : (s, o) key) (op : o) =
-  let module D = (val k.data) in
-  let cell = get_cell t k in
-  force k cell;
-  privatize cell;
-  cell.state <- D.apply cell.state op;
-  cell.offset <- cell_version cell + 1;
-  Sm_util.Vec.clear cell.journal;
-  cell.applied <- cell.offset;
-  if Sanitizer_hook.active () then
-    Sanitizer_hook.emit (Sanitizer_hook.Updated { ws_id = t.uid; key = k.name })
+(* Like [update] over [ops], but the journal is trimmed at the new head
+   instead of retaining them: the version still advances by their count,
+   and [journal_since] afterwards answers only from the new head.  For
+   replicas that apply remote operations they will never re-ship —
+   retaining them would make every replica's memory grow with the full
+   edit history.  One call per batch: one lookup, force and trim. *)
+let update_trimming (type s o) t (k : (s, o) key) (ops : o list) =
+  match ops with
+  | [] -> ()
+  | _ ->
+    let module D = (val k.data) in
+    let cell = get_cell t k in
+    force k cell;
+    privatize cell;
+    cell.state <- List.fold_left D.apply cell.state ops;
+    cell.offset <- cell_version cell + List.length ops;
+    Sm_util.Vec.clear cell.journal;
+    cell.applied <- cell.offset;
+    if Sanitizer_hook.active () then
+      Sanitizer_hook.emit (Sanitizer_hook.Updated { ws_id = t.uid; key = k.name })
 
 let version_of t k = cell_version (get_cell t k)
 

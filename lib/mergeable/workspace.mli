@@ -76,12 +76,13 @@ val update : t -> ('s, 'o) key -> 'o -> unit
     mergeable values must go through here — states themselves are
     persistent. *)
 
-val update_trimming : t -> ('s, 'o) key -> 'o -> unit
-(** Like {!update}, but trim the journal at the new head instead of
-    retaining the operation: the version still advances, and
-    {!journal_since} afterwards answers only from the new head.  For
-    replicas applying remote operations they will never re-ship —
-    journalling those would grow every replica with the full history. *)
+val update_trimming : t -> ('s, 'o) key -> 'o list -> unit
+(** Like {!update} applied to each operation in order, but trim the
+    journal at the new head instead of retaining them: the version still
+    advances by their count, and {!journal_since} afterwards answers only
+    from the new head.  For replicas applying remote operations they will
+    never re-ship — journalling those would grow every replica with the
+    full history.  [\[\]] leaves the value untouched. *)
 
 val version_of : t -> _ key -> int
 (** The value's version: operations applied to it, counted from its

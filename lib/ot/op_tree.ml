@@ -20,39 +20,46 @@ module Make (Label : Op_sig.ELT) = struct
 
   let rec find forest = function
     | [] -> None
+    | i :: _ when i < 0 -> None
     | [ i ] -> List.nth_opt forest i
     | i :: rest -> ( match List.nth_opt forest i with None -> None | Some n -> find n.children rest)
 
   let rec size forest = List.fold_left (fun acc n -> acc + 1 + size n.children) 0 forest
 
-  (* Navigate to the sibling list holding the path's last component and edit
-     it there.  [f siblings i] performs the local edit. *)
-  let rec edit forest path ~f =
+  (* Replace the suffix of [siblings] that starts at index [i] by [f suffix]:
+     one walk to [i], the prefix rebuilt, the rest of the list shared.  An
+     index outside [0 .. length] raises [msg]; [f] raises it for an index
+     that must name a node when the suffix is empty. *)
+  let splice siblings i ~msg ~f =
+    if i < 0 then invalid_arg msg;
+    let rec go i = function
+      | l when i = 0 -> f l
+      | [] -> invalid_arg msg
+      | x :: xs -> x :: go (i - 1) xs
+    in
+    go i siblings
+
+  (* Walk [path] to the sibling list holding its last component and
+     [splice] [f] in there; [msg] names what that component addresses. *)
+  let rec edit forest path ~msg ~f =
     match path with
     | [] -> invalid_arg "Op_tree.apply: empty path"
-    | [ i ] -> f forest i
+    | [ i ] -> splice forest i ~msg ~f
     | i :: rest ->
-      if i < 0 || i >= List.length forest then invalid_arg "Op_tree.apply: path component out of range";
-      List.mapi (fun j n -> if j = i then { n with children = edit n.children rest ~f } else n) forest
+      let m = "Op_tree.apply: path component out of range" in
+      splice forest i ~msg:m ~f:(function
+        | n :: xs -> { n with children = edit n.children rest ~msg ~f } :: xs
+        | [] -> invalid_arg m)
 
   let apply s op =
     match op with
-    | Insert (p, n) ->
-      edit s p ~f:(fun siblings i ->
-          if i < 0 || i > List.length siblings then invalid_arg "Op_tree.apply: insert gap out of range";
-          let rec ins i rest = if i = 0 then n :: rest else match rest with
-            | x :: xs -> x :: ins (i - 1) xs
-            | [] -> assert false
-          in
-          ins i siblings)
+    | Insert (p, n) -> edit s p ~msg:"Op_tree.apply: insert gap out of range" ~f:(fun xs -> n :: xs)
     | Delete p ->
-      edit s p ~f:(fun siblings i ->
-          if i < 0 || i >= List.length siblings then invalid_arg "Op_tree.apply: delete target out of range";
-          List.filteri (fun j _ -> j <> i) siblings)
+      let msg = "Op_tree.apply: delete target out of range" in
+      edit s p ~msg ~f:(function _ :: xs -> xs | [] -> invalid_arg msg)
     | Relabel (p, l) ->
-      edit s p ~f:(fun siblings i ->
-          if i < 0 || i >= List.length siblings then invalid_arg "Op_tree.apply: relabel target out of range";
-          List.mapi (fun j n -> if j = i then { n with label = l } else n) siblings)
+      let msg = "Op_tree.apply: relabel target out of range" in
+      edit s p ~msg ~f:(function n :: xs -> { n with label = l } :: xs | [] -> invalid_arg msg)
 
   (* --- path transformation ------------------------------------------------ *)
 

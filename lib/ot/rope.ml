@@ -115,16 +115,64 @@ let rec split t i =
       (join l a, b))
     else (l, r)
 
-let insert t pos s =
-  if String.length s = 0 then t
-  else
-    let a, b = split t pos in
-    join (join a (of_string s)) b
+(* The one-copy edit of bytes [pos, pos + span): rebuild the path to the
+   leaf holding them (a range ending on a seam belongs to the leaf on its
+   left) with that leaf replaced by [f leaf pos], adding [dlen] to every
+   cached length on the way.  The leaf count and the heights do not change,
+   so no node needs rebalancing.  [f] raises [Exit] when the edit does not
+   fit its leaf. *)
+let edit_leaf t ~pos ~span ~dlen ~f =
+  let rec go t pos =
+    match t with
+    | Leaf s -> Leaf (f s pos)
+    | Node ({ l; r; len; _ } as n) ->
+      let ll = length l in
+      if pos + span <= ll then Node { n with l = go l pos; len = len + dlen }
+      else Node { n with r = go r (pos - ll); len = len + dlen }
+  in
+  go t pos
 
+(* An insert inside one leaf that keeps it within [max_chunk] copies that
+   leaf once; a seam position belongs to the leaf on its left.  Anything
+   larger takes the split/join path. *)
+let insert t pos s =
+  let k = String.length s in
+  if k = 0 then t
+  else
+    match
+      edit_leaf t ~pos ~span:0 ~dlen:k ~f:(fun c pos ->
+          let n = String.length c in
+          if n + k > max_chunk then raise_notrace Exit;
+          let pos = max 0 (min pos n) in
+          let b = Bytes.create (n + k) in
+          Bytes.blit_string c 0 b 0 pos;
+          Bytes.blit_string s 0 b pos k;
+          Bytes.blit_string c pos b (pos + k) (n - pos);
+          Bytes.unsafe_to_string b)
+    with
+    | t -> t
+    | exception Exit ->
+      let a, b = split t pos in
+      join (join a (of_string s)) b
+
+(* A delete inside one leaf that leaves it nonempty copies that leaf once.
+   Ranges across a seam, ones that empty their leaf and out-of-range ones
+   take the split/join path, which also does the clamping. *)
 let delete t ~pos ~len =
-  let a, rest = split t pos in
-  let _, b = split rest len in
-  join a b
+  match
+    edit_leaf t ~pos ~span:len ~dlen:(-len) ~f:(fun c pos ->
+        let n = String.length c in
+        if pos < 0 || len <= 0 || pos + len > n || len = n then raise_notrace Exit;
+        let b = Bytes.create (n - len) in
+        Bytes.blit_string c 0 b 0 pos;
+        Bytes.blit_string c (pos + len) b pos (n - pos - len);
+        Bytes.unsafe_to_string b)
+  with
+  | t -> t
+  | exception Exit ->
+    let a, rest = split t pos in
+    let _, b = split rest len in
+    join a b
 
 let iter_chunks f t =
   let rec go = function

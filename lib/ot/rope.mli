@@ -36,10 +36,13 @@ val split : t -> int -> t * t
     [[0, length t]].  O(log n). *)
 
 val insert : t -> int -> string -> t
-(** [insert t pos s]: [s] spliced in before byte [pos].  O(log n + |s|). *)
+(** [insert t pos s]: [s] spliced in before byte [pos].  O(log n + |s|).
+    When the leaf at [pos] can take [s] within [max_chunk], that leaf is
+    copied once and only the nodes on its path are rebuilt. *)
 
 val delete : t -> pos:int -> len:int -> t
-(** Remove [len] bytes at [pos].  O(log n). *)
+(** Remove [len] bytes at [pos].  O(log n).  A range inside one leaf that
+    leaves it nonempty copies that leaf once and rebuilds only its path. *)
 
 val sub : t -> int -> int -> string
 (** [sub t pos len] flattens just the addressed slice. *)

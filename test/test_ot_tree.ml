@@ -122,6 +122,65 @@ let gen_two_seqs =
   gen_seq_for s >>= fun right ->
   oneofl [ Sm_ot.Side.uniform Sm_ot.Side.Incoming; Sm_ot.Side.uniform Sm_ot.Side.Applied; Sm_ot.Side.serialization; Sm_ot.Side.flip Sm_ot.Side.serialization ] >>= fun tie -> return (s, left, right, tie)
 
+(* --- the one-walk apply against the list apply ---------------------------- *)
+
+(* The list apply [Op_tree.apply] replaced, kept as the reference: it
+   measures and maps whole sibling lists at every level of the path. *)
+let rec list_edit forest path ~f =
+  match path with
+  | [] -> invalid_arg "Op_tree.apply: empty path"
+  | [ i ] -> f forest i
+  | i :: rest ->
+    if i < 0 || i >= List.length forest then invalid_arg "Op_tree.apply: path component out of range";
+    List.mapi (fun j n -> if j = i then { n with T.children = list_edit n.T.children rest ~f } else n) forest
+
+let list_apply s = function
+  | T.Insert (p, n) ->
+    list_edit s p ~f:(fun siblings i ->
+        if i < 0 || i > List.length siblings then invalid_arg "Op_tree.apply: insert gap out of range";
+        let rec ins i rest =
+          if i = 0 then n :: rest
+          else match rest with x :: xs -> x :: ins (i - 1) xs | [] -> assert false
+        in
+        ins i siblings)
+  | T.Delete p ->
+    list_edit s p ~f:(fun siblings i ->
+        if i < 0 || i >= List.length siblings then invalid_arg "Op_tree.apply: delete target out of range";
+        List.filteri (fun j _ -> j <> i) siblings)
+  | T.Relabel (p, l) ->
+    list_edit s p ~f:(fun siblings i ->
+        if i < 0 || i >= List.length siblings then invalid_arg "Op_tree.apply: relabel target out of range";
+        List.mapi (fun j n -> if j = i then { n with T.label = l } else n) siblings)
+
+(* A valid node or gap path with the component at one depth replaced by an
+   arbitrary small index (often out of range, sometimes negative), or with
+   one component too many, or empty: every way a path can miss. *)
+let gen_wild_op forest =
+  let open QCheck2.Gen in
+  let paths = [] :: (node_paths forest @ gap_paths forest) in
+  oneofl paths >>= fun p ->
+  int_range (-2) 4 >>= fun v ->
+  int_range 0 (List.length p) >>= fun d ->
+  let p = if d = List.length p then p @ [ v ] else List.mapi (fun j x -> if j = d then v else x) p in
+  oneofl [ T.insert p (T.leaf "n"); T.delete p; T.relabel p "r" ]
+
+let gen_apply_case =
+  let open QCheck2.Gen in
+  gen_forest >>= fun s ->
+  frequency [ (1, gen_op_for s); (2, gen_wild_op s) ] >>= fun op -> return (s, op)
+
+let same_apply (s, op) =
+  let run f = match f s op with s' -> Ok s' | exception Invalid_argument m -> Error m in
+  match (run T.apply, run list_apply) with
+  | Ok a, Ok b -> T.equal_state a b
+  | Error a, Error b -> String.equal a b
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let find_negative () =
+  Alcotest.(check bool) "negative root index" true (T.find sample [ -1 ] = None);
+  Alcotest.(check bool) "negative deep index" true (T.find sample [ 2; -1; 0 ] = None);
+  Alcotest.(check bool) "negative last index" true (T.find sample [ 0; -2 ] = None)
+
 let suite =
   [ Alcotest.test_case "apply: forest edits" `Quick apply_cases
   ; Alcotest.test_case "IT cases: shifts, swallows, relabels" `Quick transform_cases
@@ -129,4 +188,6 @@ let suite =
         Conv.tp1 ~state:s ~a ~b ~a_wins)
   ; qtest ~count:400 "cross converges random tree sequences" gen_two_seqs
       (fun (s, left, right, tie) -> Conv.seqs_converge ~state:s ~left ~right ~tie)
+  ; qtest ~count:2000 "apply agrees with the list apply" gen_apply_case same_apply
+  ; Alcotest.test_case "find: a negative index is None" `Quick find_negative
   ]

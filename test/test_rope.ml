@@ -13,7 +13,9 @@
      repeated edge appends;
    - rope structural invariants ([Rope.check]: honest cached sizes, leaf
      bounds, balance) maintained across 10k random edits, with the depth
-     staying logarithmic in the chunk count. *)
+     staying logarithmic in the chunk count;
+   - edits on both sides of each leaf bound (seam, [max_chunk], an emptied
+     leaf), where the one-copy leaf edit hands over to split/join. *)
 
 open Test_support
 module T = Sm_ot.Op_text
@@ -283,6 +285,53 @@ let split_join_roundtrip () =
   Alcotest.(check string) "sub mid" (String.sub doc 1000 300) (Rope.sub r 1000 300);
   Alcotest.(check string) "sub whole" doc (Rope.sub r 0 5000)
 
+(* Edits at the leaf bound.  An edit inside one leaf that keeps it nonempty
+   and within [max_chunk] rewrites that leaf with one copy; one that crosses
+   a seam, overflows or empties its leaf takes split/join.  Each fixture
+   sits on one side of one bound, and the chunk counts show which path ran. *)
+let leaf_bound_fixtures () =
+  let m = Rope.max_chunk and c = Rope.target_chunk in
+  let chunks r = (Rope.stats r).Rope.chunks in
+  let chunks_and_max r = (chunks r, (Rope.stats r).Rope.max_leaf) in
+  let pair = Alcotest.(pair int int) in
+  let text n = String.init n (fun i -> Char.chr (Char.code 'a' + (i mod 26))) in
+  let fill = T.Ins (250, String.make (m - 600) 'F') in
+  (* single-leaf documents: edits at both ends and in the middle *)
+  let one = text 600 in
+  let r =
+    run_model "single" one
+      [ T.Ins (0, "<"); T.Ins (601, ">"); T.Ins (300, "mid")
+      ; T.Del (0, 1); T.Del (300, 3); T.Del (600, 1) ]
+  in
+  Alcotest.(check int) "a single leaf stays one leaf" 1 (chunks r);
+  Alcotest.(check int) "delete all but one byte" 1
+    (Rope.length (run_model "single-keep-one" one [ T.Del (1, 599) ]));
+  check_bool "delete the whole leaf"
+    (Rope.is_empty (run_model "single-drain" one [ T.Del (0, 600) ]));
+  (* an insert filling the leaf to exactly max_chunk, then one byte over *)
+  Alcotest.check pair "filled to max_chunk in place" (1, m)
+    (chunks_and_max (run_model "single-fill" one [ fill ]));
+  check_bool "one byte over splits the leaf"
+    (chunks (run_model "single-overflow" one [ fill; T.Ins (1000, "x") ]) >= 2);
+  (* a four-leaf document: the seams sit at multiples of target_chunk *)
+  let doc = text (4 * c) in
+  Alcotest.(check int) "four leaves" 4 (chunks (Rope.of_string doc));
+  Alcotest.(check int) "seam inserts join a leaf" 4
+    (chunks (run_model "seam-ins" doc [ T.Ins (c, "on the seam"); T.Ins ((2 * c) + 11, "next") ]));
+  Alcotest.(check int) "deletes ending and starting on a seam" 4
+    (chunks (run_model "seam-del" doc [ T.Del (c - 5, 5); T.Del (c - 5, 5) ]));
+  ignore (run_model "seam-cross" doc [ T.Del (c - 5, 10); T.Ins ((2 * c) - 20, String.make 40 'S') ]);
+  let fill = T.Ins (c + 10, String.make (m - c) 'F') in
+  Alcotest.check pair "inner leaf filled in place" (4, m)
+    (chunks_and_max (run_model "inner-fill" doc [ fill ]));
+  let r = run_model "inner-overflow" doc [ fill; T.Ins (c + 20, "x") ] in
+  check_bool "one byte over splits the full inner leaf" ((Rope.stats r).Rope.max_leaf < m);
+  Alcotest.(check int) "delete a whole leaf" 3
+    (chunks (run_model "whole-leaf" doc [ T.Del (c, c) ]));
+  Alcotest.check pair "delete all but one byte of a leaf" (4, 1)
+    (let r = run_model "all-but-one" doc [ T.Del (c, c - 1) ] in
+     (chunks r, (Rope.stats r).Rope.min_leaf))
+
 let suite =
   [ Alcotest.test_case "differential: enumerated ops" `Quick enumerated_ops_differential
   ; Alcotest.test_case "differential: enumerated sequences + compact" `Quick
@@ -294,4 +343,5 @@ let suite =
   ; Alcotest.test_case "fixtures: 10k edge appends stay balanced" `Quick edge_appends
   ; Alcotest.test_case "invariants: 10k random ops" `Quick random_ops_invariants
   ; Alcotest.test_case "invariants: split/join round-trips" `Quick split_join_roundtrip
+  ; Alcotest.test_case "fixtures: edits at the leaf bound" `Quick leaf_bound_fixtures
   ]

@@ -160,10 +160,30 @@ let test_clone_trimmed () =
     | _ -> false
     | exception Invalid_argument _ -> true);
   (* update_trimming: state and version advance, history still absent. *)
-  Ws.update_trimming c readme_key (Sm_ot.Op_text.Ins (0, "z"));
+  Ws.update_trimming c readme_key [ Sm_ot.Op_text.Ins (0, "z") ];
   check Alcotest.string "trimmed update applies" "zabcd" (Sm_ot.Op_text.to_string (Ws.read c readme_key));
   check Alcotest.int "trimmed update advances version" 2 (Ws.version_of c readme_key);
-  checkb "trimmed update journals nothing" true (Ws.journal_since c readme_key ~version:2 = [])
+  checkb "trimmed update journals nothing" true (Ws.journal_since c readme_key ~version:2 = []);
+  (* One call per delta entry: a 3-op list applies in order and advances
+     the version by 3. *)
+  Ws.update_trimming c readme_key Sm_ot.Op_text.[ Ins (5, "e"); Del (0, 1); Ins (0, "Z") ];
+  check Alcotest.string "batch applies in order" "Zabcde"
+    (Sm_ot.Op_text.to_string (Ws.read c readme_key));
+  check Alcotest.int "a 3-op batch advances the version by 3" 5 (Ws.version_of c readme_key);
+  checkb "journal_since at the new head is empty" true
+    (Ws.journal_since c readme_key ~version:5 = []);
+  (* [] touches nothing: not the version, not a shared cell's cow count. *)
+  let module M = Sm_obs.Metrics in
+  let metrics_on = M.is_enabled () in
+  M.set_enabled true;
+  Fun.protect ~finally:(fun () -> M.set_enabled metrics_on) @@ fun () ->
+  let _sharer = Ws.clone_trimmed c in
+  let hits0 = M.value Ws.cow_hits in
+  Ws.update_trimming c readme_key [];
+  check Alcotest.int "[] keeps the version" 5 (Ws.version_of c readme_key);
+  check Alcotest.int "[] takes no cow hit" hits0 (M.value Ws.cow_hits);
+  Ws.update_trimming c readme_key [ Sm_ot.Op_text.Ins (0, "!") ];
+  check Alcotest.int "a write to the shared cell takes one" (hits0 + 1) (M.value Ws.cow_hits)
 
 (* --- sessions against a live service ---------------------------------------- *)
 
