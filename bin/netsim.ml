@@ -22,22 +22,14 @@ let run_once ~impl ~executor ~nodes ~chaos cfg =
   | Conventional -> Sm_sim.Sim_conventional.run cfg
   | Dist -> Sm_sim.Sim_dist.run ~nodes ?chaos cfg
 
-let main hosts messages ttl load impl mode topology seed runs per_host nodes drop dup delay
-    reorder =
+let main hosts messages ttl load impl mode topology seed runs per_host nodes delay reorder =
   let cfg = { W.hosts; messages; ttl; load; mode; topology; seed } in
   (match W.validate cfg with
   | () -> ()
   | exception Invalid_argument msg ->
     prerr_endline msg;
     exit 2);
-  if (drop > 0. || dup > 0.) && impl = Dist then begin
-    prerr_endline
-      "netsim: the coordinator protocol assumes reliable channels — drop/dup would violate \
-       it, not test it.  Its chaos relay only delays and reorders (--delay/--reorder); the \
-       lossy fault plane lives in Netpipe: try `sm-shard demo --drop ...`.";
-    exit 2
-  end;
-  if (drop > 0. || dup > 0. || delay > 0. || reorder > 0.) && impl <> Dist then begin
+  if (delay > 0. || reorder > 0.) && impl <> Dist then begin
     prerr_endline "netsim: fault flags only apply to --impl dist";
     exit 2
   end;
@@ -145,13 +137,12 @@ let nodes =
 
 let fault name doc = Arg.(value & opt float 0. & info [ name ] ~docv:"P" ~doc)
 
-let drop = fault "drop" "Rejected for $(b,--impl dist): coordinator channels are reliable."
-let dup = fault "dup" "Rejected for $(b,--impl dist): coordinator channels are reliable."
-
 let delay =
   fault "delay"
     "Per-message probability that the chaos relay holds an upstream message across 1-4 relay \
-     ticks ($(b,--impl dist) only).  Digests must not change."
+     ticks ($(b,--impl dist) only).  Digests must not change.  The coordinator protocol \
+     assumes reliable channels, so the relay never drops or duplicates; the lossy fault \
+     plane lives in Netpipe: try $(b,sm-shard demo --drop)."
 
 let reorder =
   fault "reorder"
@@ -173,6 +164,6 @@ let cmd =
     (Cmd.info "netsim" ~version:"1.0" ~doc ~man)
     Term.(
       const main $ hosts $ messages $ ttl $ load $ impl $ mode $ topology $ seed $ runs
-      $ per_host $ nodes $ drop $ dup $ delay $ reorder)
+      $ per_host $ nodes $ delay $ reorder)
 
 let () = exit (Cmd.eval cmd)

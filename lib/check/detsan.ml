@@ -114,11 +114,11 @@ let observe f =
   in
   (result, dedup)
 
-let run ?domains ?executor program =
+let run ?executor program =
   let digest, hazards =
     observe (fun () ->
         let ws =
-          Rt.run ?domains ?executor (fun ctx ->
+          Rt.run ?executor (fun ctx ->
               program ctx;
               Rt.workspace ctx)
         in

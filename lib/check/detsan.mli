@@ -55,7 +55,7 @@ val observe : (unit -> 'a) -> 'a * hazard list
     exclusive: concurrent observations serialize on an internal lock. *)
 
 val run :
-  ?domains:int -> ?executor:Sm_core.Executor.t -> (Sm_core.Runtime.ctx -> unit) -> hazard list * string
+  ?executor:Sm_core.Executor.t -> (Sm_core.Runtime.ctx -> unit) -> hazard list * string
 (** Run one program threaded under observation — {e without} the explicit
     final [merge_all] the {!Sm_core.Detcheck} harness inserts, so
     children the program itself left unmerged are reported — and digest the

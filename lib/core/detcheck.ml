@@ -1,16 +1,16 @@
 exception Timeout of string
 
-let digest_of_run ?domains ?executor program =
-  Runtime.run ?domains ?executor (fun ctx ->
+let digest_of_run ?executor program =
+  Runtime.run ?executor (fun ctx ->
       program ctx;
       Runtime.merge_all ctx;
       Sm_mergeable.Workspace.digest (Runtime.workspace ctx))
 
-let digests ?(runs = 5) ?domains ?executor program =
-  List.init runs (fun _ -> digest_of_run ?domains ?executor program)
+let digests ?(runs = 5) ?executor program =
+  List.init runs (fun _ -> digest_of_run ?executor program)
 
-let deterministic ?runs ?domains ?executor program =
-  match digests ?runs ?domains ?executor program with
+let deterministic ?runs ?executor program =
+  match digests ?runs ?executor program with
   | [] -> true
   | d :: rest -> List.for_all (String.equal d) rest
 
@@ -23,8 +23,8 @@ type divergence =
 let pp_divergence ppf d =
   Format.fprintf ppf "run %d digested %s, run 0 digested %s" d.run_index d.digest d.reference
 
-let deterministic_explained ?runs ?domains ?executor program =
-  match digests ?runs ?domains ?executor program with
+let deterministic_explained ?runs ?executor program =
+  match digests ?runs ?executor program with
   | [] -> Ok ()
   | reference :: rest ->
     let rec scan i = function

@@ -1,7 +1,7 @@
 (** The determinism oracle.
 
-    Runs a Spawn/Merge program repeatedly — optionally under different
-    executor widths, which perturbs real scheduling — and compares digests of
+    Runs a Spawn/Merge program repeatedly — optionally on an executor of
+    the caller's width, which perturbs real scheduling — and compares digests of
     the root task's merged workspace.  A program restricted to deterministic
     merges ([merge_all], [merge_all_from_set]) must digest identically every
     time; this is the paper's core claim, and the property the test suite
@@ -16,14 +16,14 @@ exception Timeout of string
 (** Raised by {!cross_scheduler} when [?timeout_s] expires; the payload is a
     diagnostic naming the likely cause. *)
 
-val digest_of_run : ?domains:int -> ?executor:Executor.t -> (Runtime.ctx -> unit) -> string
+val digest_of_run : ?executor:Executor.t -> (Runtime.ctx -> unit) -> string
 (** Run the program, merge all remaining children, digest the root
     workspace. *)
 
-val digests : ?runs:int -> ?domains:int -> ?executor:Executor.t -> (Runtime.ctx -> unit) -> string list
+val digests : ?runs:int -> ?executor:Executor.t -> (Runtime.ctx -> unit) -> string list
 (** [runs] (default 5) digests of independent executions. *)
 
-val deterministic : ?runs:int -> ?domains:int -> ?executor:Executor.t -> (Runtime.ctx -> unit) -> bool
+val deterministic : ?runs:int -> ?executor:Executor.t -> (Runtime.ctx -> unit) -> bool
 (** All digests equal. *)
 
 type divergence =
@@ -35,7 +35,7 @@ type divergence =
 val pp_divergence : Format.formatter -> divergence -> unit
 
 val deterministic_explained :
-  ?runs:int -> ?domains:int -> ?executor:Executor.t -> (Runtime.ctx -> unit) -> (unit, divergence) result
+  ?runs:int -> ?executor:Executor.t -> (Runtime.ctx -> unit) -> (unit, divergence) result
 (** {!deterministic}, but a failure names the first diverging run instead of
     collapsing to [false] — the starting point for a hazard hunt with
     [Sm_check.Detsan], which explains {e why} a program can diverge. *)

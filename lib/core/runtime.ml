@@ -507,11 +507,11 @@ let threaded_sched exec =
   ; broadcast = (fun () -> Condition.broadcast cv)
   }
 
-let run ?domains ?executor ?record ?replay body =
+let run ?executor ?record ?replay body =
   let exec, owns_executor =
     match executor with
     | Some e -> (e, false)
-    | None -> (Executor.create ?domains (), true)
+    | None -> (Executor.create (), true)
   in
   let rt = { sched = threaded_sched exec; record; replay } in
   let result = run_root rt body in

@@ -83,7 +83,6 @@ module Trace : sig
 end
 
 val run :
-  ?domains:int ->
   ?executor:Executor.t ->
   ?record:Trace.t ->
   ?replay:Trace.t ->
@@ -94,9 +93,9 @@ val run :
     has running child tasks finishes, MergeAll is called implicitly").
     Re-raises the body's exception after draining children.
 
-    By default a fresh {!Executor} is created ([domains] sizes it) and shut
-    down afterwards; tearing down a domain that hosted threads costs one
-    systhreads tick (~50 ms), so callers running many programs — the
+    By default a fresh {!Executor} of the default width is created and shut
+    down afterwards; shutting down an executor whose workers hosted threads
+    costs a systhreads tick (~50 ms), so callers running many programs — the
     benchmark harness, the determinism oracle — should create one executor
     and pass it as [executor], which [run] will then {e not} shut down. *)
 

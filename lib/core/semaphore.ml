@@ -42,8 +42,8 @@ let make_ops ctx l_keys ~worker_id =
   in
   { acquire; release; worker_id }
 
-let run_system ?domains ?executor ~values workers =
-  Runtime.run ?domains ?executor (fun root ->
+let run_system ?executor ~values workers =
+  Runtime.run ?executor (fun root ->
       let ws = Runtime.workspace root in
       let l_keys =
         Array.mapi

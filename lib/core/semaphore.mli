@@ -37,7 +37,7 @@ type ops =
   }
 
 val run_system :
-  ?domains:int -> ?executor:Executor.t -> values:int array -> (ops -> unit) list -> outcome
+  ?executor:Executor.t -> values:int array -> (ops -> unit) list -> outcome
 (** [run_system ~values workers] runs the workers concurrently against semaphores with initial [values].
     Workers may interleave acquires and releases of any semaphore index;
     each worker must balance its own acquires with releases or hold

@@ -22,9 +22,8 @@ module Int_elt = Sm_ot.Op_sig.Int_elt
 module String_elt = Sm_ot.Op_sig.String_elt
 
 module Counter = struct
-  include Sm_ot.Op_counter
+  include Sm_mergeable.Mcounter.Data
 
-  let type_name = "counter"
   let state_codec = C.int
   let op_codec = C.map (fun (Sm_ot.Op_counter.Add n) -> n) (fun n -> Sm_ot.Op_counter.Add n) C.int
 
@@ -34,9 +33,7 @@ module Counter = struct
 end
 
 module Text = struct
-  include Sm_ot.Op_text
-
-  let type_name = "text"
+  include Sm_mergeable.Mtext.Data
 
   (* Snapshots ship the flattened bytes, so the wire image is independent of
      the sender's representation and the receiver rebuilds in its own. *)
@@ -107,10 +104,10 @@ module Text = struct
 end
 
 module Make_list (Elt : CODABLE_ELT) = struct
-  module Op = Sm_ot.Op_list.Make (Elt)
-  include Op
+  module M = Sm_mergeable.Mlist.Make (Elt)
+  module Op = M.Op
+  include M.Data
 
-  let type_name = "list"
   let state_codec = C.list Elt.codec
 
   let op_codec =
@@ -141,10 +138,10 @@ module Make_list (Elt : CODABLE_ELT) = struct
 end
 
 module Make_queue (Elt : CODABLE_ELT) = struct
-  module Op = Sm_ot.Op_queue.Make (Elt)
-  include Op
+  module M = Sm_mergeable.Mqueue.Make (Elt)
+  module Op = M.Op
+  include M.Data
 
-  let type_name = "queue"
   let state_codec = C.list Elt.codec
 
   let op_codec =
@@ -163,10 +160,9 @@ module Make_queue (Elt : CODABLE_ELT) = struct
 end
 
 module Make_tree (Label : CODABLE_ELT) = struct
-  module Op = Sm_ot.Op_tree.Make (Label)
-  include Op
-
-  let type_name = "tree"
+  module M = Sm_mergeable.Mtree.Make (Label)
+  module Op = M.Op
+  include M.Data
 
   let node_codec =
     (* Recursive structure: encode a node as its label, child count, then the
@@ -223,20 +219,19 @@ module Make_tree (Label : CODABLE_ELT) = struct
 end
 
 module Make_register (V : CODABLE_ELT) = struct
-  module Op = Sm_ot.Op_register.Make (V)
-  include Op
+  module M = Sm_mergeable.Mregister.Make (V)
+  module Op = M.Op
+  include M.Data
 
-  let type_name = "register"
   let state_codec = V.codec
   let op_codec = C.map (fun (Op.Assign v) -> v) (fun v -> Op.Assign v) V.codec
   let journal_codec = C.list op_codec
 end
 
 module Make_map (Key : CODABLE_ORDERED_ELT) (Value : CODABLE_ELT) = struct
-  module Op = Sm_ot.Op_map.Make (Key) (Value)
-  include Op
-
-  let type_name = "map"
+  module M = Sm_mergeable.Mmap.Make (Key) (Value)
+  module Op = M.Op
+  include M.Data
 
   let state_codec =
     C.map Op.Key_map.bindings

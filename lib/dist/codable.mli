@@ -1,8 +1,11 @@
 (** Wire-ready mergeable types: the {!Sm_mergeable} structures paired with
     codecs, for registration with {!Registry.value}.
 
-    Functors take the element's OT interface plus its codec; [Counter] is
-    ready-made since its state is a bare int. *)
+    Each module is its mergeable type's [Data] (the functors instantiate the
+    {!Sm_mergeable} functor on the same element) plus codecs, so a type's
+    operations, transforms and [type_name] are declared once, in
+    [lib/mergeable].  Functors take the element's OT interface plus its
+    codec; [Counter] and [Text] are ready-made. *)
 
 module type CODABLE_ELT = sig
   include Sm_ot.Op_sig.ELT

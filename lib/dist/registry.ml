@@ -14,7 +14,6 @@ type ('s, 'o) rkey =
   ; wkey : ('s, 'o) Ws.key
   ; state_codec : 's Sm_util.Codec.t
   ; journal_codec : 'o list Sm_util.Codec.t
-  ; compact : 'o list -> 'o list
   }
 
 type packed = V : ('s, 'o) rkey -> packed
@@ -35,13 +34,11 @@ let create () = { values = [||]; tasks = Hashtbl.create 8 }
 
 let value (type s o) t ~name (module D : CODABLE_DATA with type state = s and type op = o) :
     (s, o) rkey =
-  let module Ctl = Sm_ot.Control.Make (D) in
   let rkey =
     { wire_id = Array.length t.values
     ; wkey = Ws.create_key (module D) ~name
     ; state_codec = D.state_codec
     ; journal_codec = D.journal_codec
-    ; compact = Ctl.compact
     }
   in
   t.values <- Array.append t.values [| V rkey |];
@@ -102,7 +99,7 @@ let encode_journal t ws =
       if Ws.mem ws rk.wkey then
         match Ws.journal ws rk.wkey with
         | [] -> None
-        | ops -> Some (rk.wire_id, Sm_util.Codec.encode rk.journal_codec (rk.compact ops))
+        | ops -> Some (rk.wire_id, Sm_util.Codec.encode rk.journal_codec (Ws.compact rk.wkey ops))
       else None)
 
 (* --- per-wire-id revisions: remote merges and shard delta sync -------------- *)
@@ -122,7 +119,7 @@ let encode_delta ?memo t ws ~since =
         if from_rev >= to_rev then None
         else
           let encode () =
-            let ops = rk.compact (Ws.journal_since ws rk.wkey ~version:from_rev) in
+            let ops = Ws.compact rk.wkey (Ws.journal_since ws rk.wkey ~version:from_rev) in
             Sm_util.Codec.encode rk.journal_codec ops
           in
           let bytes =

@@ -52,14 +52,17 @@ type ('s, 'o) cell =
   ; mutable shared : bool
   }
 
-type boxed = ..
-
+(* Everything the merge machinery derives from a mergeable type is fixed
+   when its key is minted: the metered control instance ([compact],
+   [transform_seq]) is built once here, not per merged cell, and [witness]
+   recovers a cell's types from a binding without boxing it. *)
 type ('s, 'o) key =
   { id : int
   ; name : string
   ; data : (module Data.S with type state = 's and type op = 'o)
-  ; inj : ('s, 'o) cell -> boxed
-  ; prj : boxed -> ('s, 'o) cell option
+  ; witness : ('s, 'o) cell Type.Id.t
+  ; compact : 'o list -> 'o list
+  ; transform_seq : 'o list -> against:'o list -> tie:Sm_ot.Side.policy -> 'o list
   }
 
 type packed = P : ('s, 'o) key * ('s, 'o) cell -> packed
@@ -82,31 +85,34 @@ let next_ws_uid = Atomic.make 0
 
 let create_key (type s o) (module D : Data.S with type state = s and type op = o) ~name :
     (s, o) key =
-  let module M = struct
-    type boxed += B of (s, o) cell
-  end in
+  let module C = Sm_ot.Control.Make (D) in
   if Sanitizer_hook.active () then Sanitizer_hook.emit (Sanitizer_hook.Key_created { key = name });
   { id = Atomic.fetch_and_add next_key_id 1
   ; name
   ; data = (module D)
-  ; inj = (fun c -> M.B c)
-  ; prj = (function M.B c -> Some c | _ -> None)
+  ; witness = Type.Id.make ()
+  ; compact = C.compact
+  ; transform_seq = C.transform_seq
   }
 
 let key_name k = k.name
+let compact k ops = k.compact ops
 
 let fresh_uid () = Atomic.fetch_and_add next_ws_uid 1
 let create () = { uid = fresh_uid (); cells = Imap.empty; base = Imap.empty }
 
-let find_cell (type s o) (t : t) (k : (s, o) key) : (s, o) cell option =
-  match Imap.find_opt k.id t.cells with
-  | None -> None
-  | Some (P (k', c)) -> k.prj (k'.inj c)
+(* The cell of a binding, at [k]'s types.  Bindings are keyed by key id and
+   ids are unique, so the witnesses always agree; the check recovers the
+   types and allocates nothing. *)
+let cell_of (type s o) (k : (s, o) key) (P (k', c)) : (s, o) cell =
+  match Type.Id.provably_equal k.witness k'.witness with
+  | Some Equal -> c
+  | None -> raise (Unbound_key k.name)
 
 let get_cell t k =
-  match find_cell t k with
-  | Some c -> c
-  | None -> raise (Unbound_key k.name)
+  match Imap.find k.id t.cells with
+  | p -> cell_of k p
+  | exception Not_found -> raise (Unbound_key k.name)
 
 let mem t k = Imap.mem k.id t.cells
 
@@ -242,16 +248,13 @@ let clone_trimmed t = { uid = fresh_uid (); cells = Imap.map share_trimmed t.cel
 
 let adopt t ~from = t.cells <- from.cells
 
-let integrate (type s o) (k : (s, o) key) ~(parent : (s, o) cell) ~(ops : o list) ~base_version =
-  let module D = (val k.data) in
-  let module C = Sm_ot.Control.Make (D) in
+let integrate k ~parent ~ops ~base_version =
   if base_version < parent.offset then
     invalid_arg
       (Printf.sprintf "Workspace.merge_child: journal of %S truncated past child base (%d < %d)"
          k.name base_version parent.offset);
   let parent_since = Sm_util.Vec.slice parent.journal ~from:(base_version - parent.offset) in
-  let ops = C.compact ops in
-  let ops' = C.transform_seq ops ~against:parent_since ~tie:Sm_ot.Side.serialization in
+  let ops' = k.transform_seq (k.compact ops) ~against:parent_since ~tie:Sm_ot.Side.serialization in
   (* Lazy materialization: the merged operations land in the journal only.
      The parent's state catches up in [force] at its next observation — so a
      task that merges children and is itself merged away (the interior of a
@@ -266,17 +269,18 @@ let merge_child ~parent ~child =
   Imap.iter
     (fun id (P (k, child_cell) as packed) ->
       match Imap.find_opt id parent.cells with
-      | Some (P (_, _)) ->
-        if Imap.mem id child.base then
-          integrate k ~parent:(get_cell parent k)
+      | Some parent_packed -> (
+        match Imap.find_opt id child.base with
+        | Some base_version ->
+          integrate k ~parent:(cell_of k parent_packed)
             ~ops:(Sm_util.Vec.to_list child_cell.journal)
-            ~base_version:(Imap.find id child.base)
-        else
+            ~base_version
+        | None ->
           (* The child initialized a key the parent also has: either the
              parent initialized it independently (conflict) or gained it from
              another child that initialized it (same conflict, one hop
              later). *)
-          raise (Already_bound k.name)
+          raise (Already_bound k.name))
       | None ->
         (* Key initialized inside the child: install a detached cell (the
            child may keep mutating its own cell until it terminates; the
@@ -339,12 +343,9 @@ let equal a b =
        (fun id (P (k, ca)) ->
          match Imap.find_opt id b.cells with
          | None -> false
-         | Some (P (_, _)) -> (
-           match find_cell b k with
-           | None -> false
-           | Some cb ->
-             let module D = (val k.data) in
-             D.equal_state (forced_state k ca) (forced_state k cb)))
+         | Some pb ->
+           let module D = (val k.data) in
+           D.equal_state (forced_state k ca) (forced_state k (cell_of k pb)))
        a.cells
 
 let pp ppf t =

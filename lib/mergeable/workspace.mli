@@ -55,9 +55,17 @@ exception Already_bound of string
 
 val create_key :
   (module Data.S with type state = 's and type op = 'o) -> name:string -> ('s, 'o) key
-(** Mint a key for a mergeable type.  [name] is diagnostic. *)
+(** Mint a key for a mergeable type.  [name] is diagnostic.  The key
+    carries everything merging derives from the type — its metered
+    compaction and transform control — built once here, not per merge. *)
 
 val key_name : _ key -> string
+
+val compact : ('s, 'o) key -> 'o list -> 'o list
+(** The key's type's journal compaction, metered on [ot.compact_in] and
+    [ot.compact_out]: what {!merge_child} runs on a child journal before
+    transforming it, and what the wire layer runs on a journal or delta
+    before encoding it.  Apply-equivalent to its input. *)
 
 val create : unit -> t
 (** An empty workspace with an empty base (a root). *)

@@ -171,34 +171,42 @@ let answered t =
   t.outstanding <- None;
   t.ticks_waiting <- 0
 
+(* A frame that does not open, or whose payload does not decode or apply
+   (bytes a codec rejects, an unknown wire id, a gap, an op out of range),
+   fails this client: the replica can no longer vouch for its state, and the
+   sessions ticked beside it carry on. *)
 let handle_frame t frame =
-  match Proto.open_s2c frame with
-  | _, Proto.Welcome { session; payload } -> (
-    match t.outstanding with
-    | Some { welcome = true; _ } ->
-      if t.session = None then t.session <- Some session;
-      apply_payload t payload;
-      (* With local operations (flushed or not) in play, the view keeps them
-         and the next ack re-clones it; with nothing pending no ack will
-         ever follow, so the epochs this welcome carried must reach the view
-         here or the replica reports synced while rendering stale state. *)
-      if t.pending_eid = None && Ws.op_count t.view = 0 then after_ack t;
-      answered t
-    | _ -> () (* duplicate of an applied welcome *))
-  | _, Proto.Ack { req; payload; _ } -> (
-    match t.outstanding with
-    | Some { welcome = false; req = r; _ } when req = r ->
-      apply_payload t payload;
-      answered t;
-      after_ack t
-    | _ -> () (* replayed ack for an already-acked request *))
-  | _, Proto.Nack { reason; _ } ->
-    req_end t ~status:"nack";
-    t.failed <- Some reason
-  | exception (Sm_dist.Wire.Frame.Bad_frame msg | Sm_util.Codec.Decode_error msg) ->
+  try
+    match Proto.open_s2c frame with
+    | _, Proto.Welcome { session; payload } -> (
+      match t.outstanding with
+      | Some { welcome = true; _ } ->
+        if t.session = None then t.session <- Some session;
+        apply_payload t payload;
+        (* With local operations (flushed or not) in play, the view keeps
+           them and the next ack re-clones it; with nothing pending no ack
+           will ever follow, so the epochs this welcome carried must reach
+           the view here or the replica reports synced while rendering
+           stale state. *)
+        if t.pending_eid = None && Ws.op_count t.view = 0 then after_ack t;
+        answered t
+      | _ -> () (* duplicate of an applied welcome *))
+    | _, Proto.Ack { req; payload; _ } -> (
+      match t.outstanding with
+      | Some { welcome = false; req = r; _ } when req = r ->
+        apply_payload t payload;
+        answered t;
+        after_ack t
+      | _ -> () (* replayed ack for an already-acked request *))
+    | _, Proto.Nack { reason; _ } ->
+      req_end t ~status:"nack";
+      t.failed <- Some reason
+  with
+  | Sm_dist.Wire.Frame.Bad_frame msg | Sm_util.Codec.Decode_error msg | Invalid_argument msg ->
     t.failed <- Some msg
-  | exception Sm_dist.Wire.Frame.Unsupported_version { got; speaks } ->
+  | Sm_dist.Wire.Frame.Unsupported_version { got; speaks } ->
     t.failed <- Some (Printf.sprintf "frame version %d (this build speaks %d)" got speaks)
+  | Ws.Unbound_key doc | Ws.Already_bound doc -> t.failed <- Some ("reply misplaces document " ^ doc)
 
 (* --- driving ---------------------------------------------------------------- *)
 

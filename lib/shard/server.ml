@@ -13,15 +13,6 @@ let m_rejected = Obs.Metrics.counter "shard.rejected_frames"
 let m_nacks = Obs.Metrics.counter "shard.nacks"
 let h_epoch_size = Obs.Metrics.histogram "shard.epoch_size"
 
-(* The OT layer's global counters, read as deltas around each per-document
-   merge so the conflict profiler can attribute transform calls and
-   compaction to individual documents.  Deltas are only meaningful when
-   {!Obs.Metrics} is enabled — otherwise they read 0 and the profile stays
-   empty, at zero cost. *)
-let m_ot_transforms = Obs.Metrics.counter "ot.transform_calls"
-let m_ot_compact_in = Obs.Metrics.counter "ot.compact_in"
-let m_ot_compact_out = Obs.Metrics.counter "ot.compact_out"
-
 (* Trace lanes: shards park above the dist layer's 1M-range coordinator and
    task lanes, one lane per shard. *)
 let obs_shard_tid k = 2_000_000 + k
@@ -139,6 +130,7 @@ let rejected_frames t = t.rejects
 let nacks_sent t = t.nacks
 let recorder t = t.recorder
 let shard_id t = t.shard_id
+let merge_histogram t = t.h_merge
 
 let doc_profiles t = Obs.Doc_profile.hottest t.docs
 
@@ -369,23 +361,25 @@ let flush_epoch t =
           (* A batch this session has not merged yet (re-issues after a
              resume carry the old eid and are skipped: exactly-once).
              Merged entry-by-entry so the conflict profiler can read the OT
-             counter deltas per document. *)
+             layer's counters ({!Sm_ot.Control}) as deltas per document.
+             They advance only while {!Obs.Metrics} is enabled; with
+             metrics off the profile stays empty, at zero cost. *)
           let batch_ops = ref 0 in
           Obs.Metrics.time t.h_merge (fun () ->
               List.iter
                 (fun ((id, _) as entry) ->
-                  let tr0 = Obs.Metrics.value m_ot_transforms in
-                  let ci0 = Obs.Metrics.value m_ot_compact_in in
-                  let co0 = Obs.Metrics.value m_ot_compact_out in
+                  let tr0 = Obs.Metrics.value Sm_ot.Control.transform_calls in
+                  let ci0 = Obs.Metrics.value Sm_ot.Control.compact_in in
+                  let co0 = Obs.Metrics.value Sm_ot.Control.compact_out in
                   let merged =
                     Registry.merge_edit t.reg ~into:t.ws
                       ~base_rev:(fun id -> Option.value ~default:0 (List.assoc_opt id base))
                       [ entry ]
                   in
                   batch_ops := !batch_ops + merged;
-                  let transforms = Obs.Metrics.value m_ot_transforms - tr0 in
-                  let compact_in = Obs.Metrics.value m_ot_compact_in - ci0 in
-                  let compact_out = Obs.Metrics.value m_ot_compact_out - co0 in
+                  let transforms = Obs.Metrics.value Sm_ot.Control.transform_calls - tr0 in
+                  let compact_in = Obs.Metrics.value Sm_ot.Control.compact_in - ci0 in
+                  let compact_out = Obs.Metrics.value Sm_ot.Control.compact_out - co0 in
                   let doc = Registry.wire_name t.reg id in
                   Obs.Doc_profile.add t.docs ~doc ~ops:merged ~transforms ~compact_in ~compact_out;
                   if Obs.on Obs.Debug then

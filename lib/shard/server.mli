@@ -70,6 +70,10 @@ val max_cursor_lag : t -> int
 (** The worst catch-up debt any live session carries: head revisions not
     yet shipped to it, summed across documents. *)
 
+val merge_histogram : t -> Sm_obs.Metrics.histogram
+(** The shard's merge latency, [shard<k>.merge_ns]: one observation per
+    merged edit batch while {!Sm_obs.Metrics} is enabled. *)
+
 val doc_profiles : t -> Sm_obs.Doc_profile.t list
 (** The shard's per-document conflict profile, hottest first — the live
     feed of the conflict profiler ([sm-shard stats] hot-documents table).

@@ -16,12 +16,9 @@ type row =
   ; merge_p95_ns : float option
   }
 
-let merge_histogram shard_id = Obs.Metrics.histogram (Printf.sprintf "shard%d.merge_ns" shard_id)
-
 let row_of_server s =
-  let shard = Server.shard_id s in
-  let h = merge_histogram shard in
-  { shard
+  let h = Server.merge_histogram s in
+  { shard = Server.shard_id s
   ; sessions = Server.session_count s
   ; cursor_lag = Server.max_cursor_lag s
   ; epochs = Server.epochs_run s

@@ -81,10 +81,10 @@ let worker ~keys:(inventory, audit, revenue, sold, filled, rejected) ~batch ~ord
       process o)
     orders
 
-let run ?domains ?executor c =
+let run ?executor c =
   validate c;
   let start = Unix.gettimeofday () in
-  R.run ?domains ?executor (fun root ->
+  R.run ?executor (fun root ->
       let ws = R.workspace root in
       let inventory = Minv.key ~name:"inventory" in
       let audit = Maudit.key ~name:"audit-log" in

@@ -55,4 +55,4 @@ type report =
 
 val pp_report : Format.formatter -> report -> unit
 
-val run : ?domains:int -> ?executor:Sm_core.Executor.t -> config -> report
+val run : ?executor:Sm_core.Executor.t -> config -> report

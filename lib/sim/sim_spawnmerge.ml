@@ -62,6 +62,6 @@ let run_with ~runner (c : Workload.config) =
       last_cycles := !cycles);
   Workload.Trace.finish trace ~elapsed_s:(Unix.gettimeofday () -. start)
 
-let run ?domains ?executor c = run_with ~runner:(fun body -> R.run ?domains ?executor body) c
+let run ?executor c = run_with ~runner:(fun body -> R.run ?executor body) c
 
 let run_cooperative c = run_with ~runner:(fun body -> R.Coop.run body) c

@@ -13,7 +13,7 @@
     message's TTL expires; hosts observe it after sync and complete when it
     reaches zero, letting the parent's final [MergeAll] retire them. *)
 
-val run : ?domains:int -> ?executor:Sm_core.Executor.t -> Workload.config -> Workload.report
+val run : ?executor:Sm_core.Executor.t -> Workload.config -> Workload.report
 (** [executor] reuses a long-lived executor, avoiding the ~50 ms
     domain-teardown cost per run — see {!Sm_core.Runtime.run}. *)
 

@@ -150,7 +150,7 @@ let queue_push_order () =
   Alcotest.(check (list int)) "coop: first-spawned child's push is first" [ 3; 7 ] coop;
   List.iter
     (fun domains ->
-      let threaded = Rt.run ~domains final in
+      let threaded = with_executor ~domains (fun executor -> Rt.run ~executor final) in
       Alcotest.(check (list int))
         (Printf.sprintf "threaded (%d domains) agrees with coop" domains)
         coop threaded)

@@ -483,7 +483,10 @@ let merge_any_from_set_subset_only () =
 
 let same_digest_across_domain_counts () =
   let digests =
-    List.map (fun domains -> Detcheck.digest_of_run ~domains oracle_program) [ 1; 2; 3 ]
+    List.map
+      (fun domains ->
+        with_executor ~domains (fun executor -> Detcheck.digest_of_run ~executor oracle_program))
+      [ 1; 2; 3 ]
   in
   match digests with
   | d :: rest -> List.iter (fun d' -> Alcotest.(check string) "domain-count invariant" d d') rest

@@ -588,6 +588,31 @@ let test_hot_docs_and_stats_report () =
     in
     checkb "expo exports >= 10 metric families" true (families >= 10)
 
+(* A reply whose payload does not decode or apply fails that client, as a
+   bad frame does, instead of raising out of [Client.tick] and ending every
+   editor ticked beside it.  A scripted shard answers each Hello with one
+   bad Welcome: journal bytes that stop short, then an unknown wire id. *)
+let test_bad_reply_payload_fails_the_client () =
+  let module Np = Sm_sim.Netpipe in
+  let reg = Service.registry docs in
+  let failure_after payload =
+    let l = Np.listen () in
+    let c = Client.connect ~reg ~name:"erin" ~init:(fun _ -> ()) l in
+    let srv = Option.get (Np.try_accept l) in
+    Np.send srv (Proto.seal_s2c (Proto.Welcome { session = 1; payload }));
+    Client.tick c;
+    checkb "a failed client is not ready" false (Client.ready c);
+    Client.failed c
+  in
+  check
+    Alcotest.(option string)
+    "undecodable journal bytes fail the client" (Some "truncated input at 1")
+    (failure_after (Proto.Delta [ (0, 0, 1, "\x05") ]));
+  check
+    Alcotest.(option string)
+    "an unknown wire id fails the client" (Some "Registry: unknown wire id 99")
+    (failure_after (Proto.Delta [ (99, 0, 1, "") ]))
+
 let suite =
   [ Alcotest.test_case "router: deterministic spread" `Quick test_router_determinism
   ; Alcotest.test_case "proto: frame roundtrips" `Quick test_proto_roundtrip
@@ -615,4 +640,6 @@ let suite =
       test_flight_dump_across_executors
   ; Alcotest.test_case "obs: hot docs, stats report, expo families" `Quick
       test_hot_docs_and_stats_report
+  ; Alcotest.test_case "client: a bad reply payload fails the client, not the fleet" `Quick
+      test_bad_reply_payload_fails_the_client
   ]

@@ -21,7 +21,8 @@ let schedulers_equivalent () =
 let executor_width_invariance () =
   let digests =
     List.map
-      (fun domains -> ((Sm.run ~domains cfg).W.order_digest : string))
+      (fun domains ->
+        with_executor ~domains (fun executor -> (Sm.run ~executor cfg).W.order_digest))
       [ 1; 2; 4 ]
   in
   match digests with

@@ -10,3 +10,9 @@ let qtest ?(count = 500) name gen prop =
     (QCheck2.Test.make ~count ~name gen prop)
 
 let check_bool name b = Alcotest.(check bool) name true b
+
+(* Run [f] on a fresh executor with [domains] workers, shut down
+   afterwards. *)
+let with_executor ~domains f =
+  let e = Sm_core.Executor.create ~domains () in
+  Fun.protect ~finally:(fun () -> Sm_core.Executor.shutdown e) (fun () -> f e)

@@ -275,6 +275,29 @@ let lazy_merge_materializes () =
   check_bool "truncation keeps the unapplied suffix readable"
     (Mlist.get ws nk_lazy = expected @ [ 9 ])
 
+(* A key carries its cell witness, so reading a forced cell is one map
+   lookup: no option, no boxed binding.  The window's own cost (two counter
+   reads) is measured empty and subtracted; the best of three windows keeps
+   another thread's allocation out of the reading. *)
+let forced_read_allocates_nothing () =
+  let ws = Ws.create () in
+  Ws.init ws nk_lazy [ 1; 2; 3 ];
+  Mlist.append ws nk_lazy 4;
+  ignore (Mlist.get ws nk_lazy);
+  let window f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let reads () =
+    for _ = 1 to 10_000 do
+      ignore (Sys.opaque_identity (Ws.read ws nk_lazy))
+    done
+  in
+  let best f = List.fold_left min infinity (List.init 3 (fun _ -> window f)) in
+  let words = best reads -. best ignore in
+  check_int "minor words allocated by 10k reads of a forced cell" 0 (int_of_float words)
+
 let suite =
   [ workspace_matches_control
   ; rebase_reproduces_parent
@@ -286,4 +309,6 @@ let suite =
   ; Alcotest.test_case "20-deep copy chains share until written" `Quick copy_chain_zero_copy
   ; Alcotest.test_case "clone chains preserve digests and versions" `Quick clone_trimmed_chain
   ; Alcotest.test_case "lazy merges materialize on observation" `Quick lazy_merge_materializes
+  ; Alcotest.test_case "reads of a forced cell allocate nothing" `Quick
+      forced_read_allocates_nothing
   ]
