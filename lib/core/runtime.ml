@@ -11,6 +11,8 @@ let m_clones = Obs.Metrics.counter "runtime.clones"
 let m_merged_children = Obs.Metrics.counter "runtime.merged_children"
 let m_ops_merged = Obs.Metrics.counter "runtime.ops_merged"
 let m_syncs = Obs.Metrics.counter "runtime.syncs"
+let m_sync_parks = Obs.Metrics.counter "runtime.sync_parks"
+let m_merge_parks = Obs.Metrics.counter "runtime.merge_parks"
 let m_aborts = Obs.Metrics.counter "runtime.aborts"
 let m_validation_fails = Obs.Metrics.counter "runtime.validation_failures"
 let h_merge_ns = Obs.Metrics.histogram "runtime.merge_ns"
@@ -62,16 +64,26 @@ exception Not_a_child of string
    runtime itself attaches no policy. *)
 module Sanitizer_hook = Ws.Sanitizer_hook
 
+(* One task's way to sleep.  Only the task itself parks on its waiter, and
+   only a task on the other end of a tree edge wakes it: a child wakes its
+   parent when it becomes mergeable, a merge wakes the synced child it
+   resumes.  Every wait re-checks its condition after [park], so a wake
+   that finds the task running costs nothing but the call. *)
+type waiter =
+  { park : unit -> unit  (** release the lock, sleep until woken, reacquire *)
+  ; wake : unit -> unit  (** lock held: rouse the task if it is parked *)
+  }
+
 (* The scheduler a runtime instance runs on.  The threaded instantiation
-   maps these to an Executor plus one Mutex/Condition pair; the cooperative
-   instantiation (module Coop below) to an effects-based run queue with
-   no-op locking.  All runtime semantics above this line are shared. *)
+   maps these to an Executor, one Mutex and a Condition per task; the
+   cooperative instantiation (module Coop below) to an effects-based run
+   queue with no-op locking.  All runtime semantics above this line are
+   shared. *)
 type sched =
   { fork : (unit -> unit) -> unit  (** start a task body *)
   ; lock : unit -> unit  (** enter the task-tree critical section *)
   ; unlock : unit -> unit
-  ; wait : unit -> unit  (** release, wait for a state change, reacquire *)
-  ; broadcast : unit -> unit  (** wake every waiter *)
+  ; waiter : unit -> waiter  (** a new task's own waiter *)
   }
 
 type rt =
@@ -86,6 +98,7 @@ type task =
   ; parent : task option
   ; rt : rt
   ; ws : Ws.t  (** carries its base: the parent's versions at spawn / last sync *)
+  ; waiter : waiter
   ; mutable state : status
   ; mutable children : task list  (** creation order; retired children removed *)
   ; mutable child_counter : int
@@ -118,6 +131,7 @@ let make_task rt ~name ~parent ~ws =
   ; parent
   ; rt
   ; ws
+  ; waiter = rt.sched.waiter ()
   ; state = Running
   ; children = []
   ; child_counter = 0
@@ -133,7 +147,9 @@ let make_child ?(obs_kind = E.Spawn) parent ~ws =
     make_task parent.rt ~name:(Printf.sprintf "%s/%d" parent.name index) ~parent:(Some parent) ~ws
   in
   parent.children <- parent.children @ [ child ];
-  parent.rt.sched.broadcast ();
+  (* a clone's new sibling must join a merge its parent is waiting in (on a
+     spawn the parent is the caller, so the wake finds it running) *)
+  parent.waiter.wake ();
   if Sanitizer_hook.active () then
     Sanitizer_hook.emit (Sanitizer_hook.Task_started { task = child.name });
   if Obs.on Obs.Info then begin
@@ -216,7 +232,8 @@ let merge_child_locked ctx ~validate child =
   | Sync_waiting ->
     Ws.rebase_from child.ws ~parent:ctx.ws;
     child.sync_outcome <- Some (match refusal with None -> Ok () | Some e -> Error e);
-    child.state <- Running
+    child.state <- Running;
+    child.waiter.wake ()
   | Completed | Failed ->
     let status = match child.state with Failed -> "failed" | _ -> "ok" in
     child.state <- Retired;
@@ -224,8 +241,7 @@ let merge_child_locked ctx ~validate child =
     if Obs.on Obs.Info then
       Obs.emit
         (E.make ~task:child.name ~task_id:child.id ~args:[ ("status", E.S status) ] E.Task_end)
-  | Running | Retired -> assert false);
-  ctx.rt.sched.broadcast ()
+  | Running | Retired -> assert false)
 
 (* Journal prefixes no live child can still need are dead weight; drop them
    after every merge batch.  Only the root may truncate: every other task's
@@ -257,6 +273,11 @@ let instrumented_merge ctx kind f =
       f
   end
 
+(* Sleep until an edge wakes [ctx], counting the park on [parks]. *)
+let park ctx parks =
+  Obs.Metrics.incr parks;
+  ctx.waiter.park ()
+
 let check_child ctx h =
   match h.parent with
   | Some p when p == ctx -> ()
@@ -273,15 +294,16 @@ let live_set ctx handles =
   fun () -> List.filter (fun h -> h.state <> Retired) handles
 
 (* The deterministic merges' wait: until every candidate is ready, then merge
-   them all in list order.  [candidates] is re-read on every wake-up, so
-   children cloned into existence meanwhile join the batch. *)
+   them all in list order.  Each candidate wakes [ctx] when it becomes
+   ready, and [candidates] is re-read on every wake-up, so children cloned
+   into existence meanwhile join the batch. *)
 let merge_every ctx ~validate candidates =
   with_lock ctx.rt (fun () ->
       let rec wait () =
         let cs = candidates () in
         if List.for_all ready cs then cs
         else begin
-          ctx.rt.sched.wait ();
+          park ctx m_merge_parks;
           wait ()
         end
       in
@@ -312,7 +334,7 @@ let merge_first ctx ~validate candidates =
             Option.iter (fun t -> Trace.record t ~caller:ctx.name ~child:h.name) ctx.rt.record;
             Some h
           | None ->
-            ctx.rt.sched.wait ();
+            park ctx m_merge_parks;
             wait ())
       in
       wait ())
@@ -340,9 +362,11 @@ let merge_any_from_set ?(validate = default_validate) ctx handles =
 (* --- child-side primitives ------------------------------------------------ *)
 
 let sync ctx =
-  (match ctx.parent with
-  | None -> invalid_arg "Runtime.sync: the root task has no parent to sync with"
-  | Some _ -> ());
+  let parent =
+    match ctx.parent with
+    | None -> invalid_arg "Runtime.sync: the root task has no parent to sync with"
+    | Some p -> p
+  in
   Obs.Metrics.incr m_syncs;
   let detail = Obs.on Obs.Debug in
   let timed = Obs.Metrics.is_enabled () in
@@ -351,14 +375,14 @@ let sync ctx =
   let outcome =
     with_lock ctx.rt (fun () ->
         ctx.state <- Sync_waiting;
-        ctx.rt.sched.broadcast ();
+        parent.waiter.wake ();
         let rec wait () =
           match ctx.sync_outcome with
           | Some outcome ->
             ctx.sync_outcome <- None;
             outcome
           | None ->
-            ctx.rt.sched.wait ();
+            park ctx m_sync_parks;
             wait ()
         in
         wait ())
@@ -420,7 +444,7 @@ let run_body task body =
   (match outcome with Ok _ -> () | Error _ -> ( try drain_discarding task with _ -> ()));
   outcome
 
-let run_task child body =
+let run_task ~parent child body =
   let outcome = run_body child body in
   with_lock child.rt (fun () ->
       (match outcome with
@@ -428,7 +452,7 @@ let run_task child body =
       | Error e ->
         child.failure <- Some e;
         child.state <- Failed);
-      child.rt.sched.broadcast ())
+      parent.waiter.wake ())
 
 (* Share the workspace with [share], timing the share. *)
 let timed_copy share ws =
@@ -443,7 +467,7 @@ let timed_copy share ws =
 let spawn ctx body =
   Obs.Metrics.incr m_spawns;
   let child = with_lock ctx.rt (fun () -> make_child ctx ~ws:(timed_copy Ws.copy ctx.ws)) in
-  ctx.rt.sched.fork (fun () -> run_task child body);
+  ctx.rt.sched.fork (fun () -> run_task ~parent:ctx child body);
   child
 
 let clone ctx body =
@@ -459,7 +483,7 @@ let clone ctx body =
              cloner's empty journals still start at *)
           make_child ~obs_kind:E.Clone parent ~ws:(timed_copy Ws.clone_trimmed ctx.ws))
     in
-    ctx.rt.sched.fork (fun () -> run_task sibling body);
+    ctx.rt.sched.fork (fun () -> run_task ~parent sibling body);
     sibling
 
 let abort ctx h =
@@ -468,8 +492,8 @@ let abort ctx h =
       Obs.Metrics.incr m_aborts;
       if Obs.on Obs.Info then
         Obs.emit (E.make ~task:ctx.name ~task_id:ctx.id ~args:[ ("child", E.S h.name) ] E.Abort);
-      h.abort_requested <- true;
-      ctx.rt.sched.broadcast ())
+      (* no wait reads the flag: the next merge of [h] acts on it *)
+      h.abort_requested <- true)
 
 (* --- observers ------------------------------------------------------------ *)
 
@@ -498,13 +522,17 @@ let run_root rt body =
          E.Task_end);
   result
 
+(* Only the owning task waits on its condition, so a wake signals one
+   thread, never the whole tree. *)
 let threaded_sched exec =
-  let m = Mutex.create () and cv = Condition.create () in
+  let m = Mutex.create () in
   { fork = (fun f -> Executor.submit exec f)
   ; lock = (fun () -> Mutex.lock m)
   ; unlock = (fun () -> Mutex.unlock m)
-  ; wait = (fun () -> Condition.wait cv m)
-  ; broadcast = (fun () -> Condition.broadcast cv)
+  ; waiter =
+      (fun () ->
+        let cv = Condition.create () in
+        { park = (fun () -> Condition.wait cv m); wake = (fun () -> Condition.signal cv) })
   }
 
 let run ?executor ?record ?replay body =
@@ -519,21 +547,29 @@ let run ?executor ?record ?replay body =
   match result with Ok v -> v | Error e -> raise e
 
 module Coop = struct
-  type _ Effect.t += Yield : unit Effect.t
+  (* [Park slot] suspends the running task into its own [slot]. *)
+  type _ Effect.t += Park : (unit -> unit) option ref -> unit Effect.t
 
   (* A FIFO of resumable thunks: deterministic round-robin.  Locking is a
-     no-op (single domain, no preemption between effects) and waiting is
-     yielding — a waiter re-checks its condition each time it comes around,
-     so broadcast has nothing to do. *)
+     no-op (single domain, no preemption between effects).  A parked task's
+     continuation waits in its own slot and enters the queue only when an
+     edge wakes it, so no parked task is polled. *)
   let run ?record ?replay body =
     let runnable : (unit -> unit) Queue.t = Queue.create () in
-    let sched =
-      { fork = (fun f -> Queue.add f runnable)
-      ; lock = ignore
-      ; unlock = ignore
-      ; wait = (fun () -> Effect.perform Yield)
-      ; broadcast = ignore
+    let waiter () =
+      let slot = ref None in
+      { park = (fun () -> Effect.perform (Park slot))
+      ; wake =
+          (fun () ->
+            match !slot with
+            | Some resume ->
+              slot := None;
+              Queue.add resume runnable
+            | None -> ())
       }
+    in
+    let sched =
+      { fork = (fun f -> Queue.add f runnable); lock = ignore; unlock = ignore; waiter }
     in
     let result = ref None in
     Queue.add (fun () -> result := Some (run_root { sched; record; replay } body)) runnable;
@@ -543,10 +579,10 @@ module Coop = struct
       ; effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
-            | Yield ->
+            | Park slot ->
               Some
                 (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  Queue.add (fun () -> Effect.Deep.continue k ()) runnable)
+                  slot := Some (fun () -> Effect.Deep.continue k ()))
             | _ -> None)
       }
     in
@@ -562,5 +598,5 @@ module Coop = struct
     | Some (Ok v) -> v
     | Some (Error e) -> raise e
     | None ->
-      failwith "Runtime.Coop.run: the root task never completed (livelocked waiters?)"
+      failwith "Runtime.Coop.run: the root task never completed (a parked task never woken?)"
 end

@@ -103,7 +103,10 @@ val run :
 
     [Coop.run body] executes the whole task tree on the calling thread using
     OCaml effects: tasks run until they would block (in [sync] or a merge
-    wait), then yield to a deterministic FIFO of runnable tasks.  Every
+    wait), then park; a parked task rejoins the deterministic FIFO of
+    runnable tasks only when the task across a tree edge wakes it (a child
+    that syncs or finishes wakes its parent, a merge wakes the synced child
+    it resumes), so no parked task is polled.  Every
     primitive — [spawn], [sync], the merge family, [clone], [abort],
     [Par.map], ... — works unchanged on a [Coop] context.
 

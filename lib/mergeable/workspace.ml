@@ -214,19 +214,22 @@ let op_count t =
    (persistent) state snapshots, so sharing a workspace is O(cells)
    regardless of state size.  Both sides are marked shared so the first
    write on either is visible as a cow hit.  A trimmed share materializes
-   the state and starts an empty journal at the source's version. *)
+   the state and starts an empty journal at the source's version; [trim]
+   writes it into an existing cell [dst]. *)
+let trim k ~dst ~src =
+  force k src;
+  src.shared <- true;
+  let version = cell_version src in
+  dst.state <- src.state;
+  dst.applied <- version;
+  Sm_util.Vec.clear dst.journal;
+  dst.offset <- version;
+  dst.shared <- true
+
 let share_trimmed (P (k, c)) =
-  force k c;
-  c.shared <- true;
-  let version = cell_version c in
-  P
-    ( k
-    , { state = c.state
-      ; applied = version
-      ; journal = Sm_util.Vec.create ()
-      ; offset = version
-      ; shared = true
-      } )
+  let fresh = { c with journal = Sm_util.Vec.create () } in
+  trim k ~dst:fresh ~src:c;
+  P (k, fresh)
 
 (* A full share carries the journal and its offset, so the unapplied tail
    travels with the copy and needs no materialization: only the [applied]
@@ -265,23 +268,25 @@ let merge_ops t k ~ops ~base_version = integrate k ~parent:(get_cell t k) ~ops ~
 
 let merge_child ~parent ~child =
   (* Key-id order = creation order: deterministic merge of multi-key
-     workspaces. *)
+     workspaces.  A cell the child never wrote has nothing to integrate: it
+     costs two lookups and a length check, and allocates nothing. *)
   Imap.iter
     (fun id (P (k, child_cell) as packed) ->
-      match Imap.find_opt id parent.cells with
-      | Some parent_packed -> (
-        match Imap.find_opt id child.base with
-        | Some base_version ->
-          integrate k ~parent:(cell_of k parent_packed)
-            ~ops:(Sm_util.Vec.to_list child_cell.journal)
-            ~base_version
-        | None ->
+      match Imap.find id parent.cells with
+      | parent_packed -> (
+        match Imap.find id child.base with
+        | base_version ->
+          if Sm_util.Vec.length child_cell.journal > 0 then
+            integrate k ~parent:(cell_of k parent_packed)
+              ~ops:(Sm_util.Vec.to_list child_cell.journal)
+              ~base_version
+        | exception Not_found ->
           (* The child initialized a key the parent also has: either the
              parent initialized it independently (conflict) or gained it from
              another child that initialized it (same conflict, one hop
              later). *)
           raise (Already_bound k.name))
-      | None ->
+      | exception Not_found ->
         (* Key initialized inside the child: install a detached cell (the
            child may keep mutating its own cell until it terminates; the
            journal is copied and the snapshot shared — persistent applies
@@ -289,8 +294,19 @@ let merge_child ~parent ~child =
         parent.cells <- Imap.add id (share_full packed) parent.cells)
     child.cells
 
+(* A sync trims the parent's cells into the parked child's own cells in
+   place.  Only a key set that differs from the parent's (the parent gained
+   a key, or a refused child minted one) builds a new map, so the child
+   always ends with exactly the parent's keys. *)
 let rebase_from t ~parent =
-  t.cells <- Imap.map share_trimmed parent.cells;
+  Imap.iter
+    (fun id (P (k, pc) as packed) ->
+      match Imap.find id t.cells with
+      | mine -> trim k ~dst:(cell_of k mine) ~src:pc
+      | exception Not_found -> t.cells <- Imap.add id (share_trimmed packed) t.cells)
+    parent.cells;
+  if Imap.cardinal t.cells > Imap.cardinal parent.cells then
+    t.cells <- Imap.filter (fun id _ -> Imap.mem id parent.cells) t.cells;
   t.base <- versions parent
 
 let is_pristine t =

@@ -174,9 +174,11 @@ val merge_ops : t -> ('s, 'o) key -> ops:'o list -> base_version:int -> unit
     @raise Unbound_key / [Invalid_argument] as {!merge_child}. *)
 
 val rebase_from : t -> parent:t -> unit
-(** Make the child's bindings fresh copies of the parent's (states shared,
-    journals empty) and the parent's versions its base — the data half of
-    [Sync]. *)
+(** Refresh the child's bindings to the parent's (states shared, journals
+    empty at the parent's versions) and make the parent's versions its
+    base — the data half of [Sync].  The child's existing cells are
+    overwritten in place, so nothing else may touch the child meanwhile;
+    the child ends with exactly the parent's keys. *)
 
 val is_pristine : t -> bool
 (** True when every journal is empty — the workspace holds no unmerged local

@@ -151,6 +151,41 @@ let coop_livelock_detected () =
      well-formed empty program terminates instantly *)
   Alcotest.(check int) "empty program" 7 (R.Coop.run (fun _ -> 7))
 
+(* A parked task waits in its own slot until an edge wakes it.  On the
+   ledger self-check's Listing-4 network every sync parks exactly once (its
+   only waker is the merge that answers it), and the root's merge parks,
+   like everything on the FIFO schedule, repeat run to run. *)
+let listing4_park_counts () =
+  let module M = Sm_obs.Metrics in
+  let cfg =
+    { Sm_sim.Workload.hosts = 6
+    ; messages = 12
+    ; ttl = 9
+    ; load = 0
+    ; mode = Sm_sim.Workload.Ring_destination
+    ; topology = Sm_sim.Workload.Full
+    ; seed = 3L
+    }
+  in
+  let counts () =
+    M.reset ();
+    M.set_enabled true;
+    Fun.protect
+      ~finally:(fun () ->
+        M.set_enabled false;
+        M.reset ())
+      (fun () ->
+        ignore (Sm_sim.Sim_spawnmerge.run_cooperative cfg);
+        let v name = M.value (M.counter name) in
+        (v "runtime.syncs", v "runtime.sync_parks", v "runtime.merge_parks"))
+  in
+  let syncs, sync_parks, merge_parks = counts () in
+  check_bool "syncs happened" (syncs > 0);
+  Alcotest.(check int) "sync parks = syncs" syncs sync_parks;
+  (* one per MergeAll round: the root parks until the last host syncs *)
+  Alcotest.(check int) "merge parks" 21 merge_parks;
+  check_bool "counts repeat" (counts () = (syncs, sync_parks, merge_parks))
+
 let suite =
   [ Alcotest.test_case "listing 1" `Quick listing1_coop
   ; Alcotest.test_case "sync rounds" `Quick sync_rounds_coop
@@ -162,4 +197,6 @@ let suite =
   ; Alcotest.test_case "threaded and coop digests agree" `Quick schedulers_agree
   ; Alcotest.test_case "record/replay cooperatively" `Quick record_replay_coop
   ; Alcotest.test_case "trivial program" `Quick coop_livelock_detected
+  ; Alcotest.test_case "listing 4: one park per sync, pinned merge parks" `Quick
+      listing4_park_counts
   ]

@@ -492,6 +492,41 @@ let same_digest_across_domain_counts () =
   | d :: rest -> List.iter (fun d' -> Alcotest.(check string) "domain-count invariant" d d') rest
   | [] -> assert false
 
+(* A refused sync hands the child exactly the parent's keys and state: the
+   key the child minted is gone, and the key it wrote reads at the parent's
+   state.  The merge after it therefore installs nothing in the parent. *)
+let kminted = Mcounter.key ~name:"minted-in-child"
+
+let refused_sync_takes_parent_keys () =
+  let program ctx =
+    let ws = R.workspace ctx in
+    Ws.init ws kc 5;
+    let seen = ref None in
+    ignore
+      (R.spawn ctx (fun child ->
+           let cws = R.workspace child in
+           Ws.init cws kminted 1;
+           Mcounter.add cws kc 100;
+           let outcome = R.sync child in
+           seen := Some (outcome, Ws.mem cws kminted, Mcounter.get cws kc)));
+    Mcounter.add ws kc 2;
+    R.merge_all ~validate:(fun _ -> false) ctx;
+    R.merge_all ctx;
+    (!seen, Ws.mem ws kminted, Mcounter.get ws kc)
+  in
+  List.iter
+    (fun (scheduler, run) ->
+      let seen, parent_minted, parent_kc = run program in
+      check_bool (scheduler ^ ": sync refused")
+        (Option.map (fun (o, _, _) -> o) seen = Some (Error R.Validation_failed));
+      check_bool (scheduler ^ ": minted key dropped")
+        (Option.map (fun (_, m, _) -> m) seen = Some false);
+      Alcotest.(check (option int)) (scheduler ^ ": written key at the parent's state") (Some 7)
+        (Option.map (fun (_, _, v) -> v) seen);
+      check_bool (scheduler ^ ": parent never gains the key") (not parent_minted);
+      Alcotest.(check int) (scheduler ^ ": parent state") 7 parent_kc)
+    [ ("threaded", fun p -> R.run p); ("cooperative", fun p -> R.Coop.run p) ]
+
 let suite =
   [ Alcotest.test_case "listing 1 quickstart" `Quick listing1
   ; Alcotest.test_case "merge_all: creation order beats timing" `Quick merge_all_creation_order
@@ -524,4 +559,6 @@ let suite =
   ; Alcotest.test_case "digests invariant across domain counts" `Slow same_digest_across_domain_counts
   ; Alcotest.test_case "clone: merges against the cloner's base" `Quick
       clone_merges_against_cloner_base
+  ; Alcotest.test_case "sync: a refused child takes the parent's key set" `Quick
+      refused_sync_takes_parent_keys
   ]

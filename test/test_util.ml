@@ -231,6 +231,22 @@ let fnv_stable () =
     (U.Fnv.combine (U.Fnv.hash "a") (U.Fnv.hash "b")
     <> U.Fnv.combine (U.Fnv.hash "b") (U.Fnv.hash "a"))
 
+(* Every digest hashes through Fnv: a megabyte costs the boxed result, not
+   words per byte, and gives the FNV-1a value a byte fold computes. *)
+let fnv_allocates_nothing_per_byte () =
+  let s = String.init 1_000_000 (fun i -> Char.chr (i * 7 land 255)) in
+  ignore (Sys.opaque_identity (U.Fnv.hash "warm"));
+  let w0 = Gc.minor_words () in
+  let h = Sys.opaque_identity (U.Fnv.hash s) in
+  let words = Gc.minor_words () -. w0 in
+  check_bool (Printf.sprintf "%.0f minor words < 100" words) (words < 100.);
+  let by_fold =
+    String.fold_left
+      (fun h c -> Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) 0x100000001b3L)
+      0xcbf29ce484222325L s
+  in
+  Alcotest.(check string) "FNV-1a value" (U.Fnv.to_hex by_fold) (U.Fnv.to_hex h)
+
 let suite =
   [ Alcotest.test_case "vec: push/get/slice/copy" `Quick vec_basics
   ; vec_of_list_roundtrip
@@ -250,4 +266,6 @@ let suite =
   ; Alcotest.test_case "fnv: stability and order" `Quick fnv_stable
   ; Alcotest.test_case "sha1: FIPS vectors" `Quick sha1_vectors
   ; Alcotest.test_case "sha1: iterate" `Quick sha1_iterate
+  ; Alcotest.test_case "fnv: hashing 1 MB allocates nothing per byte" `Quick
+      fnv_allocates_nothing_per_byte
   ]
