@@ -159,7 +159,6 @@ type child_state =
 type rtask =
   { uid : int
   ; node : int
-  ; mutable base : (int * int) list (* wire id -> revision at spawn / last sync *)
   ; mutable cstate : child_state
   ; mutable aborted : bool
   }
@@ -188,9 +187,7 @@ let spawn ctx ?node task ~argument =
     | None -> Atomic.fetch_and_add cluster.next_node 1 mod Array.length cluster.nodes
   in
   let uid = Atomic.fetch_and_add cluster.next_uid 1 in
-  let child =
-    { uid; node; base = Registry.revisions cluster.registry ctx.ws; cstate = Live; aborted = false }
-  in
+  let child = { uid; node; cstate = Live; aborted = false } in
   ctx.children <- ctx.children @ [ child ];
   Obs.Metrics.incr m_remote_spawns;
   (* The spawn's trace context crosses the wire with the Spawn frame, so
@@ -288,12 +285,10 @@ let default_validate _ = true
    children's bases stay valid), the predicate judges the clone, and
    acceptance adopts it.  The coordinator never materializes the child's
    workspace, so this is the remote analogue of validating the child's
-   data. *)
+   data.  Each journal entry carries the base it was recorded against:
+   the revision the child's snapshot (spawn or last sync) stamped it. *)
 let try_merge ctx child journal ~validate =
-  let merge into =
-    let base_rev id = Option.value ~default:0 (List.assoc_opt id child.base) in
-    ignore (Registry.merge_edit ctx.cluster.registry ~into ~base_rev journal)
-  in
+  let merge into = Registry.merge_edit ctx.cluster.registry ~into journal in
   match
     if validate == default_validate then begin
       merge ctx.ws;
@@ -332,7 +327,6 @@ let process ?(validate = default_validate) ctx child ev =
     Obs.Metrics.incr m_remote_syncs;
     if not granted then Obs.Metrics.incr m_remote_refusals;
     obs_merge_child child ~journal ~outcome:(if granted then "merged" else "refused");
-    child.base <- Registry.revisions cluster.registry ctx.ws;
     send_down cluster child.node
       (Wire.Reply { uid = child.uid; granted; snapshot = Registry.encode_snapshot cluster.registry ctx.ws })
   | Wire.Task_completed { journal; _ } ->

@@ -76,30 +76,42 @@ let find_task t name = Hashtbl.find t.tasks name
 
 (* --- wire plumbing ---------------------------------------------------------- *)
 
+(* Every entry carries its revision: a snapshot's state is at it, and a
+   journal's operations were recorded against it. *)
 let encode_snapshot t ws =
   filter_values t (fun (V rk) ->
       if Ws.mem ws rk.wkey then
-        Some (rk.wire_id, Sm_util.Codec.encode rk.state_codec (Ws.read ws rk.wkey))
+        Some
+          ( rk.wire_id
+          , Ws.version_of ws rk.wkey
+          , Sm_util.Codec.encode rk.state_codec (Ws.read ws rk.wkey) )
       else None)
 
 let build_workspace t snapshot =
   let ws = Ws.create () in
   List.iter
-    (fun (id, bytes) ->
+    (fun (id, rev, bytes) ->
       let (V rk) = find_value t id in
-      Ws.init ws rk.wkey (Sm_util.Codec.decode rk.state_codec bytes))
+      Ws.init ws rk.wkey (Sm_util.Codec.decode rk.state_codec bytes);
+      Ws.update_trimming ws rk.wkey [] ~version:rev)
     snapshot;
   ws
 
 (* Compacted like [encode_delta]'s suffixes (apply-equivalent, DESIGN §5c):
    a Node's journal upload and a shard client's pending batch are the same
-   encoding. *)
+   encoding.  The base is where the journal starts: neither a node's
+   workspace nor a client's view truncates, so that is the revision the
+   workspace was built or cloned at. *)
 let encode_journal t ws =
   filter_values t (fun (V rk) ->
       if Ws.mem ws rk.wkey then
         match Ws.journal ws rk.wkey with
         | [] -> None
-        | ops -> Some (rk.wire_id, Sm_util.Codec.encode rk.journal_codec (Ws.compact rk.wkey ops))
+        | ops ->
+          Some
+            ( rk.wire_id
+            , Ws.version_of ws rk.wkey - List.length ops
+            , Sm_util.Codec.encode rk.journal_codec (Ws.compact rk.wkey ops) )
       else None)
 
 (* --- per-wire-id revisions: remote merges and shard delta sync -------------- *)
@@ -140,29 +152,40 @@ let encode_delta ?memo t ws ~since =
    op-for-op aligned with it, so a partially applied delta cannot be
    prefix-skipped.  The shard protocol never produces partial overlap
    (stop-and-wait sessions + per-session reply replay): a delta is either
-   entirely stale ([to_rev <= cursor], a duplicate — skipped) or applies
-   exactly at the cursor. *)
-let apply_delta t ~into ~cursor entries =
+   entirely stale ([to_rev <= revision], a duplicate — skipped) or applies
+   exactly at the replica's revision, which then lands at [to_rev]. *)
+let apply_delta t ~into entries =
   List.iter
     (fun (id, from_rev, to_rev, bytes) ->
-      let cur = cursor id in
+      let (V rk) = find_value t id in
+      let cur = Ws.version_of into rk.wkey in
       if to_rev > cur then begin
         if from_rev <> cur then
           invalid_arg
             (Printf.sprintf "Registry.apply_delta: gap for wire id %d (have rev %d, delta %d..%d)"
                id cur from_rev to_rev);
-        let (V rk) = find_value t id in
         let ops = Sm_util.Codec.decode rk.journal_codec bytes in
         Sm_obs.Metrics.add applied_ops (List.length ops);
-        Ws.update_trimming into rk.wkey ops
+        Ws.update_trimming into rk.wkey ops ~version:to_rev
       end)
     entries
 
-let merge_edit t ~into ~base_rev entries =
-  List.fold_left
-    (fun acc (id, bytes) ->
+let decode_edit t ws entries =
+  List.map
+    (fun (id, base, bytes) ->
       let (V rk) = find_value t id in
+      if not (Ws.mem ws rk.wkey) then
+        invalid_arg (Printf.sprintf "Registry: %s is not held here" (Ws.key_name rk.wkey));
+      let head = Ws.version_of ws rk.wkey in
+      if base < 0 || base > head then
+        invalid_arg
+          (Printf.sprintf "Registry: base %d of %s outside 0..%d" base (Ws.key_name rk.wkey) head);
       let ops = Sm_util.Codec.decode rk.journal_codec bytes in
-      Ws.merge_ops into rk.wkey ~ops ~base_version:(base_rev id);
-      acc + List.length ops)
-    0 entries
+      ( id
+      , fun into ->
+          Ws.merge_ops into rk.wkey ~ops ~base_version:base;
+          List.length ops ))
+    entries
+
+let merge_edit t ~into entries =
+  List.iter (fun (_, merge) -> ignore (merge into)) (decode_edit t into entries)

@@ -75,25 +75,28 @@ val task : t -> name:string -> (ctx -> unit) -> string
 
 (** {1 Internal plumbing (used by {!Node} and {!Coordinator})} *)
 
-val encode_snapshot : t -> Sm_mergeable.Workspace.t -> (int * string) list
-(** Encoded state of every registered-and-bound value, by wire id. *)
+val encode_snapshot : t -> Sm_mergeable.Workspace.t -> Wire.entries
+(** [(wire_id, revision, state_bytes)] for every registered-and-bound value. *)
 
-val build_workspace : t -> (int * string) list -> Sm_mergeable.Workspace.t
-(** Reconstruct a workspace from an encoded snapshot.
+val build_workspace : t -> Wire.entries -> Sm_mergeable.Workspace.t
+(** Reconstruct a workspace from an encoded snapshot, each value at its
+    entry's revision.
     @raise Sm_util.Codec.Decode_error / [Invalid_argument] on unknown ids. *)
 
-val encode_journal : t -> Sm_mergeable.Workspace.t -> (int * string) list
-(** Encoded operation journal of every bound value with pending operations,
-    {e compacted} like {!encode_delta}'s suffixes (apply-equivalent to the
-    raw journal, usually shorter).  One encoding serves a {!Node}'s journal
-    upload and a shard client's pending batch. *)
+val encode_journal : t -> Sm_mergeable.Workspace.t -> Wire.entries
+(** [(wire_id, base, ops_bytes)] for every bound value with pending
+    operations: the journal {e compacted} like {!encode_delta}'s suffixes
+    (apply-equivalent to the raw journal, usually shorter) and the revision
+    it starts at, [version_of - length journal] (a {!Node}'s workspace and a
+    shard client's view never truncate).  One encoding serves a {!Node}'s
+    journal upload and a shard client's pending batch. *)
 
 (** {1 Revisions and delta sync (used by {!Coordinator} and {!Sm_shard})}
 
     Remote merges and shard sync address values by per-wire-id integer
     revisions (a value's revision is its
-    {!Sm_mergeable.Workspace.version_of}): remote tasks and clients only
-    ever see wire ids. *)
+    {!Sm_mergeable.Workspace.version_of}, on replicas too): remote tasks and
+    clients only ever see wire ids. *)
 
 val revisions : t -> Sm_mergeable.Workspace.t -> (int * int) list
 (** [(wire_id, revision)] for every registered-and-bound value. *)
@@ -117,30 +120,30 @@ val encode_delta :
     caller must fall back to a snapshot. *)
 
 val apply_delta :
-  t ->
-  into:Sm_mergeable.Workspace.t ->
-  cursor:(int -> int) ->
-  (int * int * int * string) list ->
-  unit
-(** Replay delta entries onto a replica that has seen [cursor wire_id]
-    revisions of each value.  Entries with [to_rev <= cursor] are duplicates
-    and are skipped; an entry starting past the cursor is a protocol-level
-    gap ([Invalid_argument]) — stop-and-wait sessions never produce one.
-    The caller advances its cursors to each applied entry's [to_rev]. *)
+  t -> into:Sm_mergeable.Workspace.t -> (int * int * int * string) list -> unit
+(** Replay delta entries onto a replica at the revisions it holds, landing
+    each applied value at its entry's [to_rev].  Entries with [to_rev] at or
+    below the replica's revision are duplicates and are skipped; an entry
+    starting past it is a protocol-level gap ([Invalid_argument]) —
+    stop-and-wait sessions never produce one. *)
 
-val merge_edit :
+val decode_edit :
   t ->
-  into:Sm_mergeable.Workspace.t ->
-  base_rev:(int -> int) ->
-  (int * string) list ->
-  int
-(** Decode remote operations, recorded against revision [base_rev wire_id]
-    of each value, and OT-merge them into [into] — the distributed
-    counterpart of {!Sm_mergeable.Workspace.merge_child}, for a shard
-    client's pending batch and a remote task's journal alike.  Returns the
-    number of operations merged (summed across entries), which the shard's
-    conflict profiler attributes per document by calling this
-    entry-by-entry. *)
+  Sm_mergeable.Workspace.t ->
+  Wire.entries ->
+  (int * (Sm_mergeable.Workspace.t -> int)) list
+(** Check remote journal entries against [ws] — each names a value [ws]
+    holds, its base lies in [0 .. version_of], and its bytes decode — and
+    return per entry its wire id and the merge of its decoded operations
+    into [ws] (or a clone of it), which returns their count.  A shard checks
+    an edit this way at intake and merges it at its epoch.
+    @raise Invalid_argument / [Sm_util.Codec.Decode_error] on the first
+    entry that fails. *)
+
+val merge_edit : t -> into:Sm_mergeable.Workspace.t -> Wire.entries -> unit
+(** {!decode_edit} against [into], then OT-merge each entry into it against
+    its own base — the distributed counterpart of
+    {!Sm_mergeable.Workspace.merge_child}, for a remote task's journal. *)
 
 val find_task : t -> string -> ctx -> unit
 (** @raise Not_found for unregistered task names. *)

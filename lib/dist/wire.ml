@@ -96,7 +96,7 @@ let open_control frame =
       (Frame.Bad_frame
          (Printf.sprintf "expected a control frame, got a %s frame" (Frame.kind_to_string k)))
 
-type entries = (int * string) list
+type entries = (int * int * string) list
 
 type down =
   | Spawn of
@@ -126,7 +126,7 @@ type up =
       ; reason : string
       }
 
-let entries_codec = C.list (C.pair C.int C.string)
+let entries_codec = C.list (C.triple C.int C.int C.string)
 
 let down_codec =
   C.tagged

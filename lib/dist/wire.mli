@@ -1,8 +1,8 @@
 (** The wire protocol between the coordinator and its nodes.
 
     Everything that crosses a channel is one encoded {!down} or {!up} value;
-    snapshots and journals are [(wire_id, bytes)] association lists whose
-    payloads were themselves encoded by the registry's per-value codecs. *)
+    snapshots and journals are {!entries} whose payloads were themselves
+    encoded by the registry's per-value codecs. *)
 
 (** Length-prefixed, versioned frames.  Every message on a channel is
     [seal]ed before send and [open_]ed after receive, so the payload kind
@@ -58,13 +58,14 @@ val open_control : string -> Sm_obs.Trace_ctx.t option * string
     @raise Frame.Unsupported_version on any version other than
     {!Frame.version}. *)
 
-type entries = (int * string) list
-(** [(wire_id, bytes)] per registered value: encoded states (snapshots) or
-    packed journals, as {!Registry} produces them. *)
+type entries = (int * int * string) list
+(** [(wire_id, revision, bytes)] per registered value, as {!Registry}
+    produces them: an encoded state and the revision it is at (snapshots),
+    or a packed journal and the base it was recorded against (journals). *)
 
 val entries_codec : entries Sm_util.Codec.t
 (** The one encoding of {!entries}, shared by the coordinator protocol and
-    the shard protocol's edit batches. *)
+    the shard protocol's snapshot replies and edit batches. *)
 
 type down =
   | Spawn of

@@ -84,13 +84,14 @@ val update : t -> ('s, 'o) key -> 'o -> unit
     mergeable values must go through here — states themselves are
     persistent. *)
 
-val update_trimming : t -> ('s, 'o) key -> 'o list -> unit
+val update_trimming : t -> ('s, 'o) key -> 'o list -> version:int -> unit
 (** Like {!update} applied to each operation in order, but trim the
-    journal at the new head instead of retaining them: the version still
-    advances by their count, and {!journal_since} afterwards answers only
+    journal at the new head instead of retaining them and land the value at
+    [version], the authority's revision (a compacted suffix may span more
+    revisions than it has ops).  {!journal_since} afterwards answers only
     from the new head.  For replicas applying remote operations they will
     never re-ship — journalling those would grow every replica with the
-    full history.  [\[\]] leaves the value untouched. *)
+    full history.  [\[\]] at the current version leaves the value untouched. *)
 
 val version_of : t -> _ key -> int
 (** The value's version: operations applied to it, counted from its

@@ -22,12 +22,10 @@ type t =
   ; name : string
   ; mutable conn : Netpipe.conn option
   ; mutable session : int option
-  ; mutable shadow : Ws.t  (* last server state this replica applied *)
+  ; mutable shadow : Ws.t  (* last server state applied; its versions are the cursors *)
   ; mutable view : Ws.t
       (* cloned trimmed at the shadow's head, so its journal is exactly the
          local ops not yet acked: the pending batch *)
-  ; cursors : (int, int) Hashtbl.t  (* wire_id -> server revision applied *)
-  ; mutable pending_base : (int * int) list  (* server revisions the pending ops are against *)
   ; mutable pending_eid : int option  (* batch id once the pending ops were first flushed *)
   ; mutable next_req : int
   ; mutable next_eid : int
@@ -75,10 +73,6 @@ let req_end t ~status =
          E.Req_end)
   | _ -> ()
 
-let cursor_of t id = Option.value ~default:0 (Hashtbl.find_opt t.cursors id)
-let cursor_list t =
-  List.sort compare (Hashtbl.fold (fun id rev acc -> (id, rev) :: acc) t.cursors [])
-
 let take_req t =
   let req = t.next_req in
   t.next_req <- req + 1;
@@ -111,8 +105,6 @@ let connect ~reg ~name ?(obs_tid = obs_client_tid 0) ?parent ~init listener =
     ; session = None
     ; shadow
     ; view = Ws.clone_trimmed shadow
-    ; cursors = Hashtbl.create 8
-    ; pending_base = []
     ; pending_eid = None
     ; next_req = 1
     ; next_eid = 0
@@ -149,22 +141,15 @@ let edit t f =
 (* --- payload application ---------------------------------------------------- *)
 
 let apply_payload t = function
-  | Proto.Delta entries ->
-    Registry.apply_delta t.reg ~into:t.shadow ~cursor:(cursor_of t) entries;
-    List.iter
-      (fun (id, _, to_rev, _) ->
-        if to_rev > cursor_of t id then Hashtbl.replace t.cursors id to_rev)
-      entries
+  | Proto.Delta entries -> Registry.apply_delta t.reg ~into:t.shadow entries
   | Proto.Snap entries ->
     (* Replies are applied at most once and in request order (stop-and-wait),
        so a snapshot is always current: rebuild the replica around it. *)
-    t.shadow <- Registry.build_workspace t.reg (List.map (fun (id, _, st) -> (id, st)) entries);
-    List.iter (fun (id, rev, _) -> Hashtbl.replace t.cursors id rev) entries
+    t.shadow <- Registry.build_workspace t.reg entries
 
 let after_ack t =
   t.view <- Ws.clone_trimmed t.shadow;
-  t.pending_eid <- None;
-  t.pending_base <- cursor_list t
+  t.pending_eid <- None
 
 let answered t =
   req_end t ~status:"ok";
@@ -212,7 +197,8 @@ let handle_frame t frame =
 
 (* Ship the pending batch as edit batch [eid]: a fresh flush, or the re-issue
    after a resume, which keeps the batch's eid and base (the server merges
-   each eid exactly once) under a fresh request number. *)
+   each eid exactly once) under a fresh request number.  Until its ack the
+   view is not re-cloned, so a re-issue encodes the same entries. *)
 let send_edit t ~eid =
   t.pending_eid <- Some eid;
   request t
@@ -220,7 +206,6 @@ let send_edit t ~eid =
        { session = Option.get t.session
        ; req = take_req t
        ; eid
-       ; base = t.pending_base
        ; ops = Registry.encode_journal t.reg t.view
        })
 
@@ -276,4 +261,5 @@ let resume t listener =
   | None -> request t (Proto.Hello { client = t.name })
   | Some session ->
     t.resumes <- t.resumes + 1;
-    request t (Proto.Resume { session; req = take_req t; cursors = cursor_list t })
+    request t
+      (Proto.Resume { session; req = take_req t; cursors = Registry.revisions t.reg t.shadow })

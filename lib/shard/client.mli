@@ -1,9 +1,10 @@
 (** A document replica holding a session with one shard.
 
     The client keeps two workspaces: [shadow] — the server's state as of the
-    last applied reply — and [view] — a clone of the shadow at its head plus
-    local operations not yet acknowledged, so the view's journal is the
-    pending batch.  An editor mutates the view ({!edit}); {!flush} ships
+    last applied reply, each value at the server revision it holds — and
+    [view] — a clone of the shadow at its head plus local operations not
+    yet acknowledged, so the view's journal is the pending batch.  The
+    shadow's versions are the session's cursors.  An editor mutates the view ({!edit}); {!flush} ships
     that journal with the revisions it was recorded against; the Ack's
     delta (which includes the client's own transformed operations) advances
     the shadow, and the view is re-cloned from it.
@@ -15,7 +16,7 @@
     replies applicable at most once and in order (see {!Proto}).
 
     Crash recovery: {!disconnect} abandons the connection mid-flight;
-    {!resume} reconnects with the stale cursors, the server re-ships
+    {!resume} reconnects with the shadow's stale revisions, the server re-ships
     everything after them, and the interrupted batch is re-issued under its
     original [eid] so it merges exactly once whether or not the original
     request survived. *)
@@ -76,7 +77,7 @@ val disconnect : t -> unit
     all; the session survives on the server for {!resume}. *)
 
 val resume : t -> Sm_sim.Netpipe.listener -> unit
-(** Reconnect and re-attach to the session with the last applied cursors
+(** Reconnect and re-attach to the session with the last applied revisions
     (falls back to a fresh [Hello] when no session was established yet). *)
 
 val connected : t -> bool

@@ -3,7 +3,7 @@ module Frame = Sm_dist.Wire.Frame
 
 type payload =
   | Delta of (int * int * int * string) list
-  | Snap of (int * int * string) list
+  | Snap of Sm_dist.Wire.entries
 
 type c2s =
   | Hello of { client : string }
@@ -16,8 +16,7 @@ type c2s =
       { session : int
       ; req : int
       ; eid : int
-      ; base : (int * int) list
-      ; ops : (int * string) list
+      ; ops : Sm_dist.Wire.entries
       }
   | Poll of
       { session : int
@@ -41,7 +40,6 @@ type s2c =
       }
 
 let delta_entries_codec = C.list (C.pair (C.pair C.int C.int) (C.pair C.int C.string))
-let snap_entries_codec = C.list (C.pair C.int (C.pair C.int C.string))
 
 let payload_codec =
   C.tagged
@@ -50,14 +48,13 @@ let payload_codec =
       | Delta entries ->
         C.W.value delta_entries_codec buf
           (List.map (fun (id, f, t, ops) -> ((id, f), (t, ops))) entries)
-      | Snap entries ->
-        C.W.value snap_entries_codec buf (List.map (fun (id, rev, st) -> (id, (rev, st))) entries))
+      | Snap entries -> C.W.value Sm_dist.Wire.entries_codec buf entries)
     ~read:(fun tag r ->
       match tag with
       | 0 ->
         Delta
           (List.map (fun ((id, f), (t, ops)) -> (id, f, t, ops)) (C.R.value delta_entries_codec r))
-      | 1 -> Snap (List.map (fun (id, (rev, st)) -> (id, rev, st)) (C.R.value snap_entries_codec r))
+      | 1 -> Snap (C.R.value Sm_dist.Wire.entries_codec r)
       | t -> raise (C.Decode_error (Printf.sprintf "Proto.payload: unknown tag %d" t)))
 
 let revs_codec = C.list (C.pair C.int C.int)
@@ -73,11 +70,10 @@ let c2s_codec =
         C.W.int buf session;
         C.W.int buf req;
         C.W.value revs_codec buf cursors
-      | Edit { session; req; eid; base; ops } ->
+      | Edit { session; req; eid; ops } ->
         C.W.int buf session;
         C.W.int buf req;
         C.W.int buf eid;
-        C.W.value revs_codec buf base;
         C.W.value Sm_dist.Wire.entries_codec buf ops
       | Poll { session; req } ->
         C.W.int buf session;
@@ -94,9 +90,8 @@ let c2s_codec =
         let session = C.R.int r in
         let req = C.R.int r in
         let eid = C.R.int r in
-        let base = C.R.value revs_codec r in
         let ops = C.R.value Sm_dist.Wire.entries_codec r in
-        Edit { session; req; eid; base; ops }
+        Edit { session; req; eid; ops }
       | 4 ->
         let session = C.R.int r in
         let req = C.R.int r in

@@ -16,7 +16,7 @@ type payload =
   | Delta of (int * int * int * string) list
       (** [(wire_id, from_rev, to_rev, ops_bytes)]: compacted journal
           suffixes ({!Sm_dist.Registry.encode_delta}) — never full states *)
-  | Snap of (int * int * string) list
+  | Snap of Sm_dist.Wire.entries
       (** [(wire_id, rev, state_bytes)]: full encoded states, the fallback
           (and the baseline the delta/snapshot byte gate compares against) *)
 
@@ -40,10 +40,10 @@ type c2s =
           (** edit-batch id: stable across re-issues of the same local ops
               (a fresh [req] after a resume), so the server merges each
               batch exactly once *)
-      ; base : (int * int) list  (** revisions the ops were recorded against *)
-      ; ops : (int * string) list
-          (** [(wire_id, encoded op list)]: the client's compacted pending
-              journal ({!Sm_dist.Registry.encode_journal}) *)
+      ; ops : Sm_dist.Wire.entries
+          (** [(wire_id, base, encoded op list)]: the client's compacted
+              pending journal, each entry with the revision its ops were
+              recorded against ({!Sm_dist.Registry.encode_journal}) *)
       }
   | Poll of
       { session : int

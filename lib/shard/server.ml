@@ -47,11 +47,10 @@ type t =
       (session
       * int
       * int
-      * (int * int) list
-      * (int * string) list
+      * (int * (Ws.t -> int)) list
       * Obs.Trace_ctx.t option)
       list
-      (* (session, req, eid, base, ops, serve ctx), arrival order (reversed) *)
+      (* (session, req, eid, decoded entries, serve ctx), arrival order (reversed) *)
   ; mutable tick_count : int
   ; h_merge : Obs.Metrics.histogram  (* per-shard merge latency *)
   ; mutable delta_payload_bytes : int  (* document bytes shipped as deltas *)
@@ -152,14 +151,7 @@ let max_cursor_lag t =
 
 (* --- replies ---------------------------------------------------------------- *)
 
-let snapshot_payload t =
-  let revs = Registry.revisions t.reg t.ws in
-  let states = Registry.encode_snapshot t.reg t.ws in
-  Proto.Snap
-    (List.map
-       (fun (id, bytes) ->
-         (id, (try List.assoc id revs with Not_found -> 0), bytes))
-       states)
+let snapshot_payload t = Proto.Snap (Registry.encode_snapshot t.reg t.ws)
 
 (* Fresh payload bringing [s] from what we last shipped it to the current
    head; advances the shipped-revision watermark. *)
@@ -297,13 +289,19 @@ let handle_resume t ~req ~cursors ~tctx (s : session) =
   List.iter (fun (id, rev) -> Hashtbl.replace s.acked id rev) cursors;
   answer t ?ctx:sctx s ~req `Welcome
 
-let handle_edit t ~req ~eid ~base ~ops ~tctx (s : session) =
-  if List.exists (fun (s', req', _, _, _, _) -> s'.sid = s.sid && req' = req) t.epoch_buffer
+(* A batch is checked and decoded before it is buffered, so a bad peer is
+   Nacked here instead of raising out of the epoch, which merges what
+   intake decoded. *)
+let handle_edit t ~req ~eid ~ops ~tctx (s : session) =
+  if List.exists (fun (s', req', _, _, _) -> s'.sid = s.sid && req' = req) t.epoch_buffer
   then () (* retransmit of an edit already waiting for the epoch *)
-  else begin
-    let sctx = serve t ~op:"edit" ~req ~session:s.sid tctx in
-    t.epoch_buffer <- (s, req, eid, base, ops, sctx) :: t.epoch_buffer
-  end
+  else
+    match Registry.decode_edit t.reg t.ws ops with
+    | entries ->
+      let sctx = serve t ~op:"edit" ~req ~session:s.sid tctx in
+      t.epoch_buffer <- (s, req, eid, entries, sctx) :: t.epoch_buffer
+    | exception (Invalid_argument reason | Sm_util.Codec.Decode_error reason) ->
+      nack t s.sconn ~session:s.sid ~req ~reason
 
 (* Answered immediately (not at the epoch): a poll carries no ops, it just
    reads the head — it is how an idle client hears about epochs it sent
@@ -322,8 +320,8 @@ let handle_frame t conn frame =
   | tctx, Proto.Hello { client } -> handle_hello t conn ~client ~tctx
   | tctx, Proto.Resume { session; req; cursors } ->
     with_session t conn ~session ~req (handle_resume t ~req ~cursors ~tctx)
-  | tctx, Proto.Edit { session; req; eid; base; ops } ->
-    with_session t conn ~session ~req (handle_edit t ~req ~eid ~base ~ops ~tctx)
+  | tctx, Proto.Edit { session; req; eid; ops } ->
+    with_session t conn ~session ~req (handle_edit t ~req ~eid ~ops ~tctx)
   | tctx, Proto.Poll { session; req } ->
     with_session t conn ~session ~req (handle_poll t ~req ~tctx)
   | exception (Sm_dist.Wire.Frame.Bad_frame msg | Sm_util.Codec.Decode_error msg) -> reject t msg
@@ -342,9 +340,9 @@ let flush_epoch t =
        superseded are dropped whole — the client discarded that request and
        will re-issue the batch (same eid) if it still matters. *)
     let edits =
-      List.stable_sort (fun (a, _, _, _, _, _) (b, _, _, _, _, _) -> compare a.sid b.sid)
+      List.stable_sort (fun (a, _, _, _, _) (b, _, _, _, _) -> compare a.sid b.sid)
         (List.rev buffered)
-      |> List.filter (fun ((s : session), req, _, _, _, _) -> req > s.last_req)
+      |> List.filter (fun ((s : session), req, _, _, _) -> req > s.last_req)
     in
     t.epoch_buffer <- [];
     (* The memo keys embed the revision window, so entries never go stale;
@@ -356,26 +354,24 @@ let flush_epoch t =
     (* Merge pass first, replies second: every participant's ack reflects
        the WHOLE epoch, not the prefix merged before its own batch. *)
     List.iter
-      (fun ((s : session), _req, eid, base, ops, sctx) ->
+      (fun ((s : session), _req, eid, entries, sctx) ->
         if eid > s.last_eid then begin
           (* A batch this session has not merged yet (re-issues after a
              resume carry the old eid and are skipped: exactly-once).
-             Merged entry-by-entry so the conflict profiler can read the OT
-             layer's counters ({!Sm_ot.Control}) as deltas per document.
-             They advance only while {!Obs.Metrics} is enabled; with
-             metrics off the profile stays empty, at zero cost. *)
+             Merged entry-by-entry, each against its own base, so the
+             conflict profiler can read the OT layer's counters
+             ({!Sm_ot.Control}) as deltas per document.  The profile counts
+             every merge and its ops whatever the metrics gate says; the
+             transform and compaction columns advance only while
+             {!Obs.Metrics} is enabled. *)
           let batch_ops = ref 0 in
           Obs.Metrics.time t.h_merge (fun () ->
               List.iter
-                (fun ((id, _) as entry) ->
+                (fun (id, merge) ->
                   let tr0 = Obs.Metrics.value Sm_ot.Control.transform_calls in
                   let ci0 = Obs.Metrics.value Sm_ot.Control.compact_in in
                   let co0 = Obs.Metrics.value Sm_ot.Control.compact_out in
-                  let merged =
-                    Registry.merge_edit t.reg ~into:t.ws
-                      ~base_rev:(fun id -> Option.value ~default:0 (List.assoc_opt id base))
-                      [ entry ]
-                  in
+                  let merged = merge t.ws in
                   batch_ops := !batch_ops + merged;
                   let transforms = Obs.Metrics.value Sm_ot.Control.transform_calls - tr0 in
                   let compact_in = Obs.Metrics.value Sm_ot.Control.compact_in - ci0 in
@@ -393,7 +389,7 @@ let flush_epoch t =
                            ; ("compact_out", E.I compact_out)
                            ]
                          E.Doc_merge))
-                ops);
+                entries);
           (* The merge joins the request tree as a child of the batch's
              Serve span: client request -> shard serve -> epoch merge. *)
           (match sctx with
@@ -412,10 +408,10 @@ let flush_epoch t =
           | _ -> ());
           s.last_eid <- eid;
           t.edits_merged <- t.edits_merged + 1;
-          total_ops := !total_ops + List.length ops
+          total_ops := !total_ops + List.length entries
         end)
       edits;
-    List.iter (fun ((s : session), req, _, _, _, sctx) -> answer t ?ctx:sctx s ~req `Ack) edits;
+    List.iter (fun ((s : session), req, _, _, sctx) -> answer t ?ctx:sctx s ~req `Ack) edits;
     t.epochs_run <- t.epochs_run + 1;
     Obs.Metrics.incr m_epochs;
     Obs.Metrics.add m_epoch_edits n;

@@ -15,7 +15,9 @@
     Reliability: the server answers each request number once and caches the
     sealed reply frame, replaying it verbatim for duplicate requests; edit
     batches are deduplicated by [eid] so a batch re-issued after a session
-    resume merges exactly once (see {!Proto}). *)
+    resume merges exactly once (see {!Proto}).  An edit batch is checked
+    on arrival ({!Sm_dist.Registry.decode_edit}); one that fails is Nacked
+    and buffers nothing, so a bad peer cannot raise out of {!tick}. *)
 
 type t
 

@@ -68,7 +68,7 @@ let composite_roundtrip =
 (* the wire messages themselves *)
 let wire_roundtrip () =
   let module W = Sm_dist.Wire in
-  let entries = [ (0, "\x00\xffpayload"); (3, "") ] in
+  let entries = [ (0, 2, "\x00\xffpayload"); (3, 0, "") ] in
   let msgs_down =
     [ W.Spawn { uid = 7; task = "worker"; argument = "a:b"; snapshot = entries }
     ; W.Reply { uid = 99; granted = false; snapshot = [] }

@@ -53,8 +53,7 @@ let test_proto_roundtrip () =
   let c2s =
     [ Proto.Hello { client = "alice" }
     ; Proto.Resume { session = 3; req = 7; cursors = [ (0, 4); (2, 9) ] }
-    ; Proto.Edit
-        { session = 3; req = 8; eid = 2; base = [ (0, 4) ]; ops = [ (0, "opbytes") ] }
+    ; Proto.Edit { session = 3; req = 8; eid = 2; ops = [ (0, 4, "opbytes") ] }
     ; Proto.Poll { session = 3; req = 9 }
     ]
   in
@@ -129,21 +128,26 @@ let test_delta_encode_apply () =
   Service.client_init (Service.create docs ~shards:1 ~mode:`Delta ~epoch_ticks:1) ~shard:0 replica;
   Ws.update server readme_key (Sm_ot.Op_text.Ins (0, "hello "));
   Ws.update server readme_key (Sm_ot.Op_text.Del (0, 6));
-  let cursors = Hashtbl.create 4 in
-  let cursor id = Option.value ~default:0 (Hashtbl.find_opt cursors id) in
+  (* The replica's versions are its cursors. *)
+  let cursor id = Option.value ~default:0 (List.assoc_opt id (Registry.revisions reg replica)) in
   let entries = Registry.encode_delta reg server ~since:cursor in
-  Registry.apply_delta reg ~into:replica ~cursor entries;
-  List.iter (fun (id, _, to_rev, _) -> Hashtbl.replace cursors id to_rev) entries;
+  Registry.apply_delta reg ~into:replica entries;
   check Alcotest.string "replica caught up" (Ws.digest server) (Ws.digest replica);
-  (* Duplicate delivery: entries at or below the cursor are skipped. *)
-  Registry.apply_delta reg ~into:replica ~cursor entries;
+  check
+    Alcotest.(list (pair int int))
+    "replica at the server's revisions" (Registry.revisions reg server)
+    (Registry.revisions reg replica);
+  (* Duplicate delivery: entries at or below the replica's revision are
+     skipped. *)
+  Registry.apply_delta reg ~into:replica entries;
   check Alcotest.string "duplicate delta is a no-op" (Ws.digest server) (Ws.digest replica);
-  (* A gap (delta starting past the cursor) is a protocol violation. *)
+  (* A gap (delta starting past the replica's revision) is a protocol
+     violation. *)
   Ws.update server readme_key (Sm_ot.Op_text.Ins (0, "x"));
   Ws.update server readme_key (Sm_ot.Op_text.Ins (0, "y"));
   let ahead = Registry.encode_delta reg server ~since:(fun id -> cursor id + 1) in
   checkb "gap raises" true
-    (match Registry.apply_delta reg ~into:replica ~cursor ahead with
+    (match Registry.apply_delta reg ~into:replica ahead with
     | () -> false
     | exception Invalid_argument _ -> true)
 
@@ -160,16 +164,17 @@ let test_clone_trimmed () =
     | _ -> false
     | exception Invalid_argument _ -> true);
   (* update_trimming: state and version advance, history still absent. *)
-  Ws.update_trimming c readme_key [ Sm_ot.Op_text.Ins (0, "z") ];
+  Ws.update_trimming c readme_key [ Sm_ot.Op_text.Ins (0, "z") ] ~version:2;
   check Alcotest.string "trimmed update applies" "zabcd" (Sm_ot.Op_text.to_string (Ws.read c readme_key));
   check Alcotest.int "trimmed update advances version" 2 (Ws.version_of c readme_key);
   checkb "trimmed update journals nothing" true (Ws.journal_since c readme_key ~version:2 = []);
-  (* One call per delta entry: a 3-op list applies in order and advances
-     the version by 3. *)
-  Ws.update_trimming c readme_key Sm_ot.Op_text.[ Ins (5, "e"); Del (0, 1); Ins (0, "Z") ];
+  (* One call per delta entry: a 3-op list applies in order and lands at
+     the version given. *)
+  Ws.update_trimming c readme_key Sm_ot.Op_text.[ Ins (5, "e"); Del (0, 1); Ins (0, "Z") ]
+    ~version:5;
   check Alcotest.string "batch applies in order" "Zabcde"
     (Sm_ot.Op_text.to_string (Ws.read c readme_key));
-  check Alcotest.int "a 3-op batch advances the version by 3" 5 (Ws.version_of c readme_key);
+  check Alcotest.int "a 3-op batch lands at the version given" 5 (Ws.version_of c readme_key);
   checkb "journal_since at the new head is empty" true
     (Ws.journal_since c readme_key ~version:5 = []);
   (* [] touches nothing: not the version, not a shared cell's cow count. *)
@@ -179,11 +184,18 @@ let test_clone_trimmed () =
   Fun.protect ~finally:(fun () -> M.set_enabled metrics_on) @@ fun () ->
   let _sharer = Ws.clone_trimmed c in
   let hits0 = M.value Ws.cow_hits in
-  Ws.update_trimming c readme_key [];
+  Ws.update_trimming c readme_key [] ~version:5;
   check Alcotest.int "[] keeps the version" 5 (Ws.version_of c readme_key);
   check Alcotest.int "[] takes no cow hit" hits0 (M.value Ws.cow_hits);
-  Ws.update_trimming c readme_key [ Sm_ot.Op_text.Ins (0, "!") ];
-  check Alcotest.int "a write to the shared cell takes one" (hits0 + 1) (M.value Ws.cow_hits)
+  Ws.update_trimming c readme_key [ Sm_ot.Op_text.Ins (0, "!") ] ~version:6;
+  check Alcotest.int "a write to the shared cell takes one" (hits0 + 1) (M.value Ws.cow_hits);
+  (* A suffix that compacted to nothing still spans revisions: [] at a new
+     version moves the version alone. *)
+  Ws.update_trimming c readme_key [] ~version:8;
+  check Alcotest.int "[] lands at a new version" 8 (Ws.version_of c readme_key);
+  check Alcotest.string "[] at a new version keeps the state" "!Zabcde"
+    (Sm_ot.Op_text.to_string (Ws.read c readme_key));
+  check Alcotest.int "[] at a new version takes no cow hit" (hits0 + 1) (M.value Ws.cow_hits)
 
 (* --- sessions against a live service ---------------------------------------- *)
 
@@ -314,8 +326,11 @@ let test_reissue_after_resume () =
   match (first, request s2) with
   | Proto.Edit a, Proto.Edit b ->
     check Alcotest.int "same eid" a.eid b.eid;
-    checkb "same base" true (a.base = b.base && a.base <> []);
-    checkb "same op bytes" true (a.ops = b.ops && List.length a.ops = 2);
+    check
+      Alcotest.(list int)
+      "each entry carries its base: readme at the head's revision, scratch at 0" [ 1; 0 ]
+      (List.map (fun (_, base, _) -> base) a.ops);
+    checkb "same bases and op bytes" true (a.ops = b.ops && List.length a.ops = 2);
     checkb "larger req" true (b.req > a.req)
   | _ -> Alcotest.fail "expected an Edit before and after the resume"
 
@@ -595,9 +610,13 @@ let test_hot_docs_and_stats_report () =
 let test_bad_reply_payload_fails_the_client () =
   let module Np = Sm_sim.Netpipe in
   let reg = Service.registry docs in
+  (* The client holds the shard's documents, so the bytes are what fails. *)
+  let init =
+    Service.client_init (Service.create docs ~shards:1 ~mode:`Delta ~epoch_ticks:1) ~shard:0
+  in
   let failure_after payload =
     let l = Np.listen () in
-    let c = Client.connect ~reg ~name:"erin" ~init:(fun _ -> ()) l in
+    let c = Client.connect ~reg ~name:"erin" ~init l in
     let srv = Option.get (Np.try_accept l) in
     Np.send srv (Proto.seal_s2c (Proto.Welcome { session = 1; payload }));
     Client.tick c;
@@ -612,6 +631,103 @@ let test_bad_reply_payload_fails_the_client () =
     Alcotest.(option string)
     "an unknown wire id fails the client" (Some "Registry: unknown wire id 99")
     (failure_after (Proto.Delta [ (99, 0, 1, "") ]))
+
+(* A replica keeps one record per revision: its workspace.  Two revisions
+   that compact to one shipped op ([Ins (0, "a")] then [Ins (1, "b")] on
+   the empty scratch document) still land the replica at revision 2. *)
+let test_compacted_delta_lands_at_the_revision () =
+  let svc = Service.create docs ~shards:1 ~mode:`Delta ~epoch_ticks:1 in
+  let reg = Service.registry docs in
+  let scratch_key = Service.text_key (Service.find_doc docs "t/scratch") in
+  let a = connect svc ~shard:0 "alice" in
+  drive svc [ a ] (fun () -> Client.synced a);
+  List.iter
+    (fun op ->
+      Client.edit a (fun ws -> Ws.update ws scratch_key op);
+      Client.flush a;
+      drive svc [ a ] (fun () -> Client.synced a))
+    Sm_ot.Op_text.[ Ins (0, "a"); Ins (1, "b") ];
+  let head = Sm_shard.Server.workspace (Service.shard svc 0) in
+  check Alcotest.int "two revisions at the shard" 2 (Ws.version_of head scratch_key);
+  let b = connect svc ~shard:0 "bob" in
+  drive svc [ a; b ] (fun () -> Client.synced b);
+  check Alcotest.string "bob holds both inserts" "ab"
+    (Sm_ot.Op_text.to_string (Ws.read (Client.view b) scratch_key));
+  check
+    Alcotest.(list (pair int int))
+    "the replica's revisions are the shard's" (Registry.revisions reg head)
+    (Registry.revisions reg (Client.view b))
+
+(* A raw session on [shard] of [svc]: says Hello, then sends one Edit per
+   call (fresh request number and eid) and returns the shard's reply. *)
+let raw_session svc ~shard =
+  let module Np = Sm_sim.Netpipe in
+  let conn = Np.connect (Service.listener svc shard) in
+  let reply () =
+    Service.tick svc;
+    match Np.try_recv conn with
+    | Some frame -> snd (Proto.open_s2c frame)
+    | None -> Alcotest.fail "no reply arrived"
+  in
+  Np.send conn (Proto.seal_c2s (Proto.Hello { client = "mallory" }));
+  let session =
+    match reply () with
+    | Proto.Welcome { session; _ } -> session
+    | _ -> Alcotest.fail "expected a Welcome"
+  in
+  let req = ref 0 in
+  fun ops ->
+    incr req;
+    Np.send conn (Proto.seal_c2s (Proto.Edit { session; req = !req; eid = !req; ops }));
+    reply ()
+
+(* A bad peer is refused at intake: an edit naming an unknown wire id,
+   carrying bytes that do not decode, claiming a base past the head, or
+   naming a document another shard holds is Nacked with its reason and
+   buffers nothing, so [Service.tick] returns and the shard's documents are
+   untouched.  A well-formed edit on the same session still merges. *)
+let test_hostile_edit_nacked_at_intake () =
+  let svc = Service.create docs ~shards:1 ~mode:`Delta ~epoch_ticks:1 in
+  let server = Service.shard svc 0 in
+  let send = raw_session svc ~shard:0 in
+  (* A well-formed one-insert batch on the readme, at revision 0. *)
+  let good =
+    let ws = Ws.create () in
+    Service.client_init svc ~shard:0 ws;
+    let view = Ws.clone_trimmed ws in
+    Ws.update view readme_key (Sm_ot.Op_text.Ins (0, "ok "));
+    match Registry.encode_journal (Service.registry docs) view with
+    | [ entry ] -> entry
+    | _ -> Alcotest.fail "expected one journal entry"
+  in
+  let id, base, bytes = good in
+  let nacked what reply reason =
+    match reply with
+    | Proto.Nack n -> check Alcotest.string (what ^ ": the Nack names the reason") reason n.reason
+    | _ -> Alcotest.fail (what ^ ": expected a Nack")
+  in
+  let digest0 = Sm_shard.Server.digest server in
+  List.iter
+    (fun (what, ops, reason) ->
+      nacked what (send ops) reason;
+      check Alcotest.string (what ^ ": the shard is untouched") digest0
+        (Sm_shard.Server.digest server);
+      checkb (what ^ ": nothing buffered") true (Sm_shard.Server.idle server))
+    [ ("unknown wire id", [ (99, base, bytes) ], "Registry: unknown wire id 99")
+    ; ("undecodable bytes", [ (id, base, "\x05") ], "truncated input at 1")
+    ; ("base past the head", [ (id, 5, bytes) ], "Registry: base 5 of t/readme outside 0..0")
+    ; ("one bad entry spoils the batch", [ good; (99, base, bytes) ], "Registry: unknown wire id 99")
+    ];
+  (* A registered document placed on the other shard is not this one's. *)
+  let svc2 = Service.create docs ~shards:2 ~mode:`Delta ~epoch_ticks:1 in
+  nacked "a document held elsewhere"
+    (raw_session svc2 ~shard:(1 - Service.shard_of svc2 "t/readme") [ good ])
+    "Registry: t/readme is not held here";
+  (match send [ good ] with
+  | Proto.Ack _ -> ()
+  | _ -> Alcotest.fail "a well-formed edit is acked");
+  check Alcotest.string "the well-formed edit merged" "ok # readme\n"
+    (Sm_ot.Op_text.to_string (Ws.read (Sm_shard.Server.workspace server) readme_key))
 
 let suite =
   [ Alcotest.test_case "router: deterministic spread" `Quick test_router_determinism
@@ -642,4 +758,8 @@ let suite =
       test_hot_docs_and_stats_report
   ; Alcotest.test_case "client: a bad reply payload fails the client, not the fleet" `Quick
       test_bad_reply_payload_fails_the_client
+  ; Alcotest.test_case "client: a compacted delta lands the replica at the shard's revisions"
+      `Quick test_compacted_delta_lands_at_the_revision
+  ; Alcotest.test_case "server: a hostile edit is nacked at intake, the shard carries on"
+      `Quick test_hostile_edit_nacked_at_intake
   ]
